@@ -2,11 +2,12 @@
    figure of the paper's evaluation (§VI). Run with no argument for the
    full sweep, or with one of:
 
-     fig3 fig4 fig5 fig6 table2 table3 fig7 table4 fig8 aot-ablation fast-ablation attest-storm fleet crypto micro
+     fig3 fig4 fig5 fig6 table2 table3 fig7 table4 fig8 fast-ablation attest-storm fleet
+     crypto micro
 
-   Absolute numbers differ from the paper (x86 host + OCaml closures vs
-   Cortex-A53 + LLVM AOT); EXPERIMENTS.md records paper-vs-measured and
-   the preserved shapes. *)
+   Absolute numbers differ from the paper (x86 host + an OCaml
+   pre-decoded interpreter vs Cortex-A53 + LLVM AOT); EXPERIMENTS.md
+   records paper-vs-measured and the preserved shapes. *)
 
 module Soc = Watz_tz.Soc
 module Optee = Watz_tz.Optee
@@ -472,40 +473,17 @@ let fig8 () =
   Printf.printf "  (paper: linear in dataset size; WaTZ ~ WAMR, within ~1.4%%)\n"
 
 (* ------------------------------------------------------------------ *)
-(* AOT vs interpreter ablation (the 28x claim of SIII). *)
-
-let aot_ablation () =
-  section "Ablation - AOT vs interpreted execution (paper SIII: AOT ~28x faster)";
-  let soc = booted "bench-abl" in
-  Printf.printf "  %-16s %12s %12s %8s\n" "kernel" "aot(ms)" "interp(ms)" "ratio";
-  let ratios =
-    List.map
-      (fun name ->
-        let k = PB.find name in
-        let bytes = Watz_wasmc.Minic.compile_to_bytes k.PB.program in
-        let aot_app = Wamr.load ~entry:None soc bytes in
-        let aot = median_ns ~runs:3 (fun () -> ignore (Wamr.invoke aot_app "run" [])) in
-        let interp_app = Wamr.load ~tier:Watz.Engine.Interp ~entry:None soc bytes in
-        let interp =
-          median_ns ~runs:1 (fun () -> ignore (Wamr.invoke interp_app "run" []))
-        in
-        let r = interp /. aot in
-        Printf.printf "  %-16s %12.2f %12.2f %7.1fx\n" name (ns_to_ms aot) (ns_to_ms interp) r;
-        r)
-      [ "gemm"; "atax"; "trisolv"; "jacobi-1d"; "durbin" ]
-  in
-  Printf.printf "  %-16s %12s %12s %7.1fx\n" "geomean" "" "" (geomean ratios)
-
-(* ------------------------------------------------------------------ *)
-(* Fast-interpreter ablation: tree-walker vs pre-decoded linear
-   bytecode vs AOT closures, same modules, same results. *)
+(* Interpreter vs AOT ablation (the 28x claim of SIII): the
+   tree-walker against the pre-decoded fast tier, which is this
+   reproduction's load-time-translated AOT mode. Same modules, same
+   results. *)
 
 let fast_ablation () =
-  section "Ablation - interp vs fast-interp vs AOT (pre-decoded linear bytecode)";
+  section "Ablation - interpreted vs AOT (pre-decoded) execution (paper SIII: AOT ~28x faster)";
   let soc = booted "bench-fast" in
   let runs = if quick then 2 else 5 in
-  Printf.printf "  %-16s %10s %10s %10s %10s %9s %9s\n" "kernel" "interp(ms)" "fast(ms)"
-    "fast p95" "aot(ms)" "int/fast" "fast/aot";
+  Printf.printf "  %-16s %10s %10s %10s %9s\n" "kernel" "interp(ms)" "fast(ms)" "fast p95"
+    "int/fast";
   let kernels =
     List.map
       (fun name ->
@@ -524,30 +502,20 @@ let fast_ablation () =
       (fun (name, bytes) ->
         let app tier = Wamr.load ~tier ~entry:None soc bytes in
         let run a = Wamr.invoke a "run" [] in
-        let interp_app = app Watz.Engine.Interp
-        and fast_app = app Watz.Engine.Fast
-        and aot_app = app Watz.Engine.Aot in
+        let interp_app = app Watz.Engine.Interp and fast_app = app Watz.Engine.Fast in
         (* The tiers must agree bit-for-bit before their times mean anything. *)
-        let r_interp = run interp_app and r_fast = run fast_app and r_aot = run aot_app in
-        if r_interp <> r_fast || r_fast <> r_aot then
-          failwith (Printf.sprintf "tier mismatch on %s" name);
+        if run interp_app <> run fast_app then failwith (Printf.sprintf "tier mismatch on %s" name);
         let interp = median_ns ~runs:(max 1 (runs - 1)) (fun () -> ignore (run interp_app)) in
         let fast_s = Stats.measure ~runs ~warmup:1 (fun () -> ignore (run fast_app)) in
-        let aot = median_ns ~runs ~warmup:1 (fun () -> ignore (run aot_app)) in
         let fast = fast_s.Stats.median in
-        Printf.printf "  %-16s %10.2f %10.2f %10.2f %10.2f %8.1fx %8.2fx\n" name
-          (ns_to_ms interp) (ns_to_ms fast)
-          (ns_to_ms fast_s.Stats.p95)
-          (ns_to_ms aot) (interp /. fast) (fast /. aot);
-        (interp /. fast, fast /. aot))
+        Printf.printf "  %-16s %10.2f %10.2f %10.2f %8.1fx\n" name (ns_to_ms interp)
+          (ns_to_ms fast) (ns_to_ms fast_s.Stats.p95) (interp /. fast);
+        interp /. fast)
       kernels
   in
-  Printf.printf "  %-16s %10s %10s %10s %10s %8.1fx %8.2fx\n" "geomean" "" "" "" ""
-    (geomean (List.map fst ratios))
-    (geomean (List.map snd ratios));
-  Printf.printf "  %-16s %10s %10s %10s %10s %8.1fx %8.2fx\n" "median" "" "" "" ""
-    (Stats.median (Array.of_list (List.map fst ratios)))
-    (Stats.median (Array.of_list (List.map snd ratios)));
+  Printf.printf "  %-16s %10s %10s %10s %8.1fx\n" "geomean" "" "" "" (geomean ratios);
+  Printf.printf "  %-16s %10s %10s %10s %8.1fx\n" "median" "" "" ""
+    (Stats.median (Array.of_list ratios));
   Printf.printf "  (target: fast >= 5x median over the tree-walking interpreter, identical results)\n"
 
 (* ------------------------------------------------------------------ *)
@@ -762,7 +730,8 @@ let mesh () =
    with an enlarged minor heap (Fleet.config.minor_heap_words) so
    short-lived frame/field-element garbage stays in per-domain minor
    collections instead of serialising on the shared major heap; the
-   knob and per-shard Gc.quick_stat deltas are recorded in the JSON.
+   knob and per-shard (per-domain Gc.counters) deltas are recorded in
+   the JSON.
 
    A second table compares the two session schedulers (--sched) on a
    single shard at a sessions count high enough for run-queue effects
@@ -1132,7 +1101,7 @@ let micro () =
       Test.make ~name:"t4/issue-evidence"
         (Staged.stage (fun () -> ignore (Watz_attest.Service.issue_evidence service ~anchor ~claim)));
       Test.make ~name:"fig4/measure-64k" (Staged.stage (fun () -> ignore (Runtime.measure payload)));
-      Test.make ~name:"fig5/gemm-aot" (Staged.stage (fun () -> ignore (Wamr.invoke gemm_app "run" [])));
+      Test.make ~name:"fig5/gemm-fast" (Staged.stage (fun () -> ignore (Wamr.invoke gemm_app "run" [])));
     ]
   in
   let instances = Toolkit.Instance.[ monotonic_clock ] in
@@ -1218,7 +1187,7 @@ let all_targets =
   [
     ("fig3", fig3); ("fig4", fig4); ("fig5", fig5); ("fig6", fig6); ("table2", table2);
     ("table3", table3); ("fig7", fig7); ("table4", table4); ("fig8", fig8);
-    ("aot-ablation", aot_ablation); ("fast-ablation", fast_ablation);
+    ("fast-ablation", fast_ablation);
     ("attest-storm", attest_storm); ("mesh", mesh); ("fleet", fleet); ("crypto", crypto);
     ("micro", micro);
   ]

@@ -54,7 +54,7 @@ let tier_conv =
   let parse s =
     match Watz.Engine.tier_of_string s with
     | Some t -> Ok t
-    | None -> Error (`Msg (Printf.sprintf "unknown tier %S (expected interp, fast or aot)" s))
+    | None -> Error (`Msg (Printf.sprintf "unknown tier %S (expected interp or fast)" s))
   in
   Arg.conv (parse, fun fmt t -> Format.pp_print_string fmt (Watz.Engine.tier_name t))
 
@@ -66,8 +66,8 @@ let run_cmd =
       value
       & opt tier_conv Watz.Runtime.default_config.Watz.Runtime.tier
       & info [ "tier" ] ~docv:"TIER"
-          ~doc:"Execution tier: $(b,interp) (tree-walking), $(b,fast) (pre-decoded linear \
-                bytecode) or $(b,aot).")
+          ~doc:"Execution tier: $(b,interp) (tree-walking) or $(b,fast) (pre-decoded linear \
+                bytecode, translated once at load: the default, WaTZ's AOT mode).")
   in
   let run file entry tier =
     let soc = booted "cli-device" in
@@ -578,7 +578,7 @@ let fuzz_cmd =
     (Cmd.info "fuzz"
        ~doc:
          "Seeded fuzzing and differential verification: structured Wasm modules across the \
-          three execution tiers, byte mutations against the decoder, crypto vs the frozen \
+          two execution tiers, byte mutations against the decoder, crypto vs the frozen \
           reference stack, the attestation protocol under tampering, and MiniC programs \
           through the full compile/measure/attest/execute pipeline. Exit status 1 when \
           anything is found.")

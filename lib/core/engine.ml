@@ -1,55 +1,42 @@
-(** Execution-tier selection: one front door to the three Wasm engines.
+(** Execution-tier selection: one front door to the two Wasm engines.
 
-    WAMR spans "interpreted is the simplest yet slowest" to LLVM AOT
-    (§III); our reproduction mirrors that spectrum with three tiers:
+    WAMR spans "interpreted is the simplest yet slowest" to AOT (§III);
+    our reproduction keeps both ends of that spectrum:
 
     - [Interp] — the tree-walking {!Watz_wasm.Interp} (slowest, no
       preparation cost beyond decode/validate);
-    - [Fast]   — the pre-decoded linear-bytecode {!Watz_wasm.Fastinterp}
-      (WAMR's "fast interpreter": flattened once, direct branch
-      targets, array operand stack);
-    - [Aot]    — the closure-compiling {!Watz_wasm.Aot} (fastest
-      execution, highest preparation cost).
+    - [Fast]   — the pre-decoded linear-bytecode {!Watz_wasm.Fastinterp},
+      flattened once at load into direct branch targets and typed
+      register files. This is the reproduction's "AOT" mode: as with
+      WAMR's AOT loader, which relocates precompiled code at load time,
+      all translation happens once when the module is loaded and
+      execution never revisits the bytecode.
 
     [prepare] turns raw bytecode into a tier-specific, instance-free
-    artifact; [instantiate] links it against WASI (and optionally
-    WASI-RA) and attaches the exported memory to the WASI environment.
-    The [Fast] artifact is fully compiled and instance-independent, so
-    {!Runtime} caches it across loads keyed by the module measurement. *)
+    artifact; [instantiate] links it against the neutral WASI (and
+    optionally WASI-RA) host specs and attaches the exported memory to
+    the WASI environment. This module is the only place that adapts
+    those specs to an engine. Both prepared forms are instance-free, so
+    {!Runtime} caches them across loads keyed by the module
+    measurement. *)
 
 module Wasi = Watz_wasi.Wasi
 module Wasi_ra = Watz_wasi.Wasi_ra
 module W = Watz_wasm
 module T = Watz_obs.Trace
 
-type tier = Interp | Fast | Aot
+type tier = Interp | Fast
 
-let all_tiers = [ Interp; Fast; Aot ]
-let tier_name = function Interp -> "interp" | Fast -> "fast" | Aot -> "aot"
+let all_tiers = [ Interp; Fast ]
+let tier_name = function Interp -> "interp" | Fast -> "fast"
 
-let tier_of_string = function
-  | "interp" -> Some Interp
-  | "fast" -> Some Fast
-  | "aot" -> Some Aot
-  | _ -> None
+let tier_of_string = function "interp" -> Some Interp | "fast" -> Some Fast | _ -> None
 
 (** A prepared module: decoded, validated, and (for the fast tier)
     flattened. Contains no instance state — safe to cache and reuse. *)
-type prepared =
-  | P_interp of W.Ast.module_
-  | P_fast of W.Fastinterp.cmodule
-  | P_aot of W.Ast.module_
-      (* The AOT tier compiles to closures that capture per-instance
-         import implementations, so only the validated AST is
-         instance-free; closure compilation happens at instantiate. *)
+type prepared = P_interp of W.Ast.module_ | P_fast of W.Fastinterp.cmodule
 
-type instance =
-  | I_interp of W.Instance.t
-  | I_fast of W.Fastinterp.finstance
-  | I_aot of W.Aot.rinstance
-
-let tier_of_prepared = function P_interp _ -> Interp | P_fast _ -> Fast | P_aot _ -> Aot
-let tier_of_instance = function I_interp _ -> Interp | I_fast _ -> Fast | I_aot _ -> Aot
+type instance = I_interp of W.Instance.t | I_fast of W.Fastinterp.finstance
 
 (** Decode + validate + tier-specific pre-compilation. The pipeline
     stages trace as secure-world spans (they run inside the runtime
@@ -61,37 +48,42 @@ let prepare ?(trace = T.null) ?(sid = T.no_session) tier bytes : prepared =
   | Interp -> P_interp m
   | Fast ->
     P_fast (T.span trace T.Secure ~session:sid "engine.compile" (fun () -> W.Fastinterp.compile m))
-  | Aot -> P_aot m
+
+(** The instance's exported "memory", if any. *)
+let export_memory (i : instance) =
+  match i with
+  | I_interp inst -> W.Instance.export_memory inst "memory"
+  | I_fast inst -> W.Fastinterp.export_memory inst "memory"
 
 (** Link a prepared module against WASI (and WASI-RA when [ra_env] is
     given) and attach the exported linear memory to [wasi_env]. *)
 let instantiate ?(trace = T.null) ?(sid = T.no_session) ?ra_env ~wasi_env (p : prepared) :
     instance =
   T.span trace T.Secure ~session:sid "engine.instantiate" @@ fun () ->
-  match p with
-  | P_interp m ->
-    let bindings =
-      Wasi.interp_imports wasi_env
-      @ (match ra_env with Some e -> Wasi_ra.interp_imports e | None -> [])
-    in
-    let inst = W.Instance.instantiate ~imports:(W.Instance.import_map_of_list bindings) m in
-    Wasi.attach_interp_memory wasi_env inst;
-    I_interp inst
-  | P_fast cm ->
-    let imports =
-      Wasi.fast_imports wasi_env
-      @ (match ra_env with Some e -> Wasi_ra.fast_imports e | None -> [])
-    in
-    let inst = W.Fastinterp.instantiate ~imports cm in
-    Wasi.attach_fast_memory wasi_env inst;
-    I_fast inst
-  | P_aot m ->
-    let imports =
-      Wasi.aot_imports wasi_env @ (match ra_env with Some e -> Wasi_ra.aot_imports e | None -> [])
-    in
-    let inst = W.Aot.instantiate ~imports m in
-    Wasi.attach_aot_memory wasi_env inst;
-    I_aot inst
+  let specs =
+    Wasi.bindings wasi_env @ match ra_env with Some e -> Wasi_ra.bindings_for e | None -> []
+  in
+  let inst =
+    match p with
+    | P_interp m ->
+      let extern (s : Wasi.spec) =
+        ( s.fn_module,
+          s.fn_name,
+          W.Instance.Extern_func
+            (W.Instance.host_func ~name:s.fn_name ~params:s.fn_params ~results:s.fn_results
+               s.fn_impl) )
+      in
+      I_interp
+        (W.Instance.instantiate ~imports:(W.Instance.import_map_of_list (List.map extern specs)) m)
+    | P_fast cm ->
+      let host (s : Wasi.spec) =
+        W.Fastinterp.host ~module_:s.fn_module ~name:s.fn_name ~params:s.fn_params
+          ~results:s.fn_results s.fn_impl
+      in
+      I_fast (W.Fastinterp.instantiate ~imports:(List.map host specs) cm)
+  in
+  wasi_env.Wasi.memory <- export_memory inst;
+  inst
 
 (** Invoke an exported function. Raises [Not_found] when the export is
     missing or not a function; traps propagate as
@@ -103,28 +95,11 @@ let invoke (i : instance) name args =
     | Some f -> W.Interp.invoke f args
     | None -> raise Not_found)
   | I_fast inst -> W.Fastinterp.invoke inst name args
-  | I_aot inst -> W.Aot.invoke inst name args
 
 (** Like {!invoke}, but [None] when the export is absent (used for
     optional entry points such as [_start]). *)
 let invoke_opt (i : instance) name args =
   match i with
-  | I_interp inst -> (
-    match W.Instance.export_func inst name with
-    | Some f -> Some (W.Interp.invoke f args)
-    | None -> None)
-  | I_fast inst -> (
-    match W.Fastinterp.export_func inst name with
-    | Some f -> Some (W.Fastinterp.invoke_funcinst f args)
-    | None -> None)
-  | I_aot inst -> (
-    match W.Aot.export_func inst name with
-    | Some f -> Some (W.Aot.invoke_funcinst inst f args)
-    | None -> None)
-
-(** The instance's exported "memory", if any. *)
-let export_memory (i : instance) =
-  match i with
-  | I_interp inst -> W.Instance.export_memory inst "memory"
-  | I_fast inst -> W.Fastinterp.export_memory inst "memory"
-  | I_aot inst -> W.Aot.export_memory inst "memory"
+  | I_interp inst -> Option.map (fun f -> W.Interp.invoke f args) (W.Instance.export_func inst name)
+  | I_fast inst ->
+    Option.map (fun f -> W.Fastinterp.invoke_funcinst f args) (W.Fastinterp.export_func inst name)

@@ -180,9 +180,11 @@ let shard_config config k =
     observed. *)
 type event = { shard : int; ev : Storm.session_event }
 
-(** [Gc.quick_stat] deltas across one shard's (timed) run phase —
-    allocation pressure per shard, reported alongside the wall-clock
-    split so the bench can print words-per-session. *)
+(** [Gc.counters] deltas across one shard's (timed) run phase, taken
+    inside the shard's own domain — allocation pressure per shard,
+    reported alongside the wall-clock split so the bench can print
+    words-per-session. [Gc.counters] is per-domain; [Gc.quick_stat]
+    would also count every other shard running at the same time. *)
 type gc_delta = { minor_words : float; major_words : float; promoted_words : float }
 
 type report = {
@@ -320,15 +322,15 @@ let run ?(config = default_config) () =
             match prep with
             | Error e -> raise e
             | Ok prep ->
-              let g0 = Gc.quick_stat () in
+              let minor0, promoted0, major0 = Gc.counters () in
               let report = Storm.run_prepared prep in
-              let g1 = Gc.quick_stat () in
+              let minor1, promoted1, major1 = Gc.counters () in
               flush ();
               let gc =
                 {
-                  minor_words = g1.Gc.minor_words -. g0.Gc.minor_words;
-                  major_words = g1.Gc.major_words -. g0.Gc.major_words;
-                  promoted_words = g1.Gc.promoted_words -. g0.Gc.promoted_words;
+                  minor_words = minor1 -. minor0;
+                  major_words = major1 -. major0;
+                  promoted_words = promoted1 -. promoted0;
                 }
               in
               (k, report, gc, Option.map (Merge.of_tracer ~shard_id:k) tracer)))

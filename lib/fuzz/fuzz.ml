@@ -2,7 +2,7 @@
 
     Five targets, every case a pure function of [seed]:
 
-    - [Modgen]: structured modules from {!Gen} through the three-tier
+    - [Modgen]: structured modules from {!Gen} through the two-tier
       differential oracle {!Diff.run_case} (results, traps and fuel);
     - [Decode]: byte mutations of encoded modules (and raw garbage)
       through {!Diff.run_bytes} (typed-verdict-or-crash, roundtrip);
@@ -76,7 +76,7 @@ type report = {
 
 (* [shrink:false] skips minimization — corpus replay only needs to know
    whether the historical case still fires, and shrinking a reproducing
-   finding costs thousands of three-tier runs. *)
+   finding costs thousands of two-tier runs. *)
 let modgen_case ?(shrink = true) cs =
   let rng = Prng.create cs in
   let case = Gen.generate rng in

@@ -209,6 +209,15 @@ let release_held pipe =
     Queue.push h pipe.pending
   | None -> ()
 
+(* A pipe that can never carry bytes again: its writer is gone and
+   nothing is queued or held back. The reader keeps its own reference
+   to the delivered stream, so the network can forget the pipe. *)
+let dead pipe = pipe.writer_closed && Queue.is_empty pipe.pending && pipe.held = None
+
+(* Copies the list only when something is dead: most ticks prune nothing. *)
+let prune t =
+  if List.exists dead t.pipes then t.pipes <- List.filter (fun pipe -> not (dead pipe)) t.pipes
+
 (** One scheduler quantum of the link layer: release reorder hold-backs,
     count every pending delay down by one tick, deliver what became due,
     and forget pipes that can never carry bytes again. *)
@@ -220,10 +229,7 @@ let tick t =
       Queue.iter (fun seg -> if seg.delay > 0 then seg.delay <- seg.delay - 1) pipe.pending;
       flush pipe)
     t.pipes;
-  t.pipes <-
-    List.filter
-      (fun pipe -> not (pipe.writer_closed && Queue.is_empty pipe.pending && pipe.held = None))
-      t.pipes
+  prune t
 
 (* ------------------------------------------------------------------ *)
 (* Faulty send *)
@@ -345,10 +351,14 @@ let recv conn ~len =
     Some s
   end
 
+(* A drained pipe is pruned right away rather than at the next {!tick}:
+   callers that never tick (the WASI-RA supplicant) would otherwise keep
+   every closed connection's delivered bytes reachable. *)
 let close conn =
   owner_check conn.net;
   conn.closed := true;
-  conn.tx.writer_closed <- true
+  conn.tx.writer_closed <- true;
+  if dead conn.tx then prune conn.net
 
 let peer_closed conn = !(conn.peer) || !(conn.broken)
 

@@ -9,8 +9,8 @@
     manually coded dummy functions for all 45 WASI API functions").
 
     The environment is engine-agnostic: {!bindings} produces neutral
-    host-function specs that adapt to both the interpreter and the AOT
-    engine. *)
+    host-function specs; the runtime's engine layer adapts them to
+    whichever execution tier runs the module. *)
 
 module T = Watz_wasm.Types
 module A = Watz_wasm.Ast
@@ -50,11 +50,14 @@ let i32_arg args i =
 let ok = [ A.VI32 0l ]
 let errno e = [ A.VI32 (Int32.of_int e) ]
 
+(** A host function, bound to its environment and independent of any
+    execution tier. WASI-RA contributes specs of the same type. *)
 type spec = {
+  fn_module : string;
   fn_name : string;
   fn_params : T.valtype list;
   fn_results : T.valtype list;
-  fn_impl : env -> A.value array -> A.value list;
+  fn_impl : A.value array -> A.value list;
 }
 
 let environ_strings env = List.map (fun (k, v) -> k ^ "=" ^ v) env.environ
@@ -202,51 +205,14 @@ let stubs =
 
 let module_name = "wasi_snapshot_preview1"
 
-(** All registered entry points as neutral specs. *)
-let bindings : spec list =
-  List.map
-    (fun (fn_name, fn_params, fn_results, fn_impl) -> { fn_name; fn_params; fn_results; fn_impl })
-    implemented
+(** All registered entry points as neutral specs bound to [env]. *)
+let bindings env : spec list =
+  let spec (fn_name, fn_params, fn_results, impl) =
+    { fn_module = module_name; fn_name; fn_params; fn_results; fn_impl = impl env }
+  in
+  List.map spec implemented
   @ List.map
-      (fun (fn_name, fn_params, fn_results) ->
-        { fn_name; fn_params; fn_results; fn_impl = (fun _ _ -> errno errno_nosys) })
+      (fun (name, params, results) -> spec (name, params, results, fun _ _ -> errno errno_nosys))
       stubs
 
-let registered_count = List.length bindings
-
-(* Engine adapters. *)
-
-let aot_imports env : Watz_wasm.Aot.import_binding list =
-  List.map
-    (fun s ->
-      Watz_wasm.Aot.host ~module_:module_name ~name:s.fn_name ~params:s.fn_params
-        ~results:s.fn_results (s.fn_impl env))
-    bindings
-
-let interp_imports env =
-  List.map
-    (fun s ->
-      ( module_name,
-        s.fn_name,
-        Watz_wasm.Instance.Extern_func
-          (Watz_wasm.Instance.host_func ~name:s.fn_name ~params:s.fn_params
-             ~results:s.fn_results (s.fn_impl env)) ))
-    bindings
-
-let fast_imports env : Watz_wasm.Fastinterp.import_binding list =
-  List.map
-    (fun s ->
-      Watz_wasm.Fastinterp.host ~module_:module_name ~name:s.fn_name ~params:s.fn_params
-        ~results:s.fn_results (s.fn_impl env))
-    bindings
-
-(** Attach the instance's exported memory to the environment (must run
-    before the first WASI call). *)
-let attach_aot_memory env inst =
-  env.memory <- Watz_wasm.Aot.export_memory inst "memory"
-
-let attach_interp_memory env inst =
-  env.memory <- Watz_wasm.Instance.export_memory inst "memory"
-
-let attach_fast_memory env inst =
-  env.memory <- Watz_wasm.Fastinterp.export_memory inst "memory"
+let registered_count = List.length implemented + List.length stubs

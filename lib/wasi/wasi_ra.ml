@@ -239,39 +239,22 @@ let net_dispose env args =
 let module_name = "wasi_ra"
 let i = T.I32
 
-let bindings_for env : (string * T.valtype list * T.valtype list * (A.value array -> A.value list)) list =
-  [
-    ("collect_quote", [ i; i; i ], [ i ], collect_quote env);
-    ("dispose_quote", [ i ], [ i ], dispose_quote env);
-    ("quote_len", [ i; i ], [ i ], quote_len env);
-    ("quote_read", [ i; i; i ], [ i ], quote_read env);
-    ("net_handshake", [ i; i; i; i ], [ i ], net_handshake env);
-    ("net_send_quote", [ i; i ], [ i ], net_send_quote env);
-    ("net_data_len", [ i; i ], [ i ], net_data_len env);
-    ("net_receive_data", [ i; i; i; i ], [ i ], net_receive_data env);
-    ("net_dispose", [ i ], [ i ], net_dispose env);
-  ]
-
-let aot_imports env : Watz_wasm.Aot.import_binding list =
+(** The WASI-RA entry points as neutral host specs bound to [env]. *)
+let bindings_for env : Wasi.spec list =
   List.map
-    (fun (name, params, results, impl) ->
-      Watz_wasm.Aot.host ~module_:module_name ~name ~params ~results impl)
-    (bindings_for env)
-
-let interp_imports env =
-  List.map
-    (fun (name, params, results, impl) ->
-      ( module_name,
-        name,
-        Watz_wasm.Instance.Extern_func
-          (Watz_wasm.Instance.host_func ~name ~params ~results impl) ))
-    (bindings_for env)
-
-let fast_imports env : Watz_wasm.Fastinterp.import_binding list =
-  List.map
-    (fun (name, params, results, impl) ->
-      Watz_wasm.Fastinterp.host ~module_:module_name ~name ~params ~results impl)
-    (bindings_for env)
+    (fun (fn_name, fn_params, fn_results, impl) ->
+      { Wasi.fn_module = module_name; fn_name; fn_params; fn_results; fn_impl = impl env })
+    [
+      ("collect_quote", [ i; i; i ], [ i ], collect_quote);
+      ("dispose_quote", [ i ], [ i ], dispose_quote);
+      ("quote_len", [ i; i ], [ i ], quote_len);
+      ("quote_read", [ i; i; i ], [ i ], quote_read);
+      ("net_handshake", [ i; i; i; i ], [ i ], net_handshake);
+      ("net_send_quote", [ i; i ], [ i ], net_send_quote);
+      ("net_data_len", [ i; i ], [ i ], net_data_len);
+      ("net_receive_data", [ i; i; i; i ], [ i ], net_receive_data);
+      ("net_dispose", [ i ], [ i ], net_dispose);
+    ]
 
 (** MiniC import declarations matching {!bindings_for}, for apps that
     use the attestation API. *)

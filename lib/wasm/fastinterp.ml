@@ -1,22 +1,22 @@
 (** Fast interpreter: pre-decoded linear bytecode with direct branch
     targets.
 
-    This is the middle execution tier between the tree-walking
-    {!Interp} and the closure-compiling {!Aot} — the role WAMR's "fast
-    interpreter" plays on real hardware. A validated module is
-    flattened {e once} into a flat [op array] per function: structured
+    This is the runtime's default tier and the reproduction's stand-in
+    for WAMR's AOT mode: as WAMR's AOT loader relocates precompiled
+    code once at load time, a validated module is flattened {e once}
+    into a flat [op array] per function and never revisited. Structured
     control (block/loop/if) disappears into jumps whose absolute
     program-counter targets are precomputed at flattening time, so
     execution needs no [Branch] exception unwinding and no label-stack
     traversal. Operands live in typed register files indexed by the
-    static stack height (known from validation), exactly as in the AOT
-    tier, so the hot loop is: fetch [code.(pc)], match, mutate arrays,
-    bump an integer [pc].
+    static stack height (known from validation), so the hot loop is:
+    fetch [code.(pc)], match, mutate arrays, bump an integer [pc].
 
-    Unlike the AOT tier, the compiled form ({!cmodule}) references
-    functions by {e index} and contains no per-instance state, so it
-    can be cached across instantiations — {!Runtime.load} keys such a
-    cache by the module's SHA-256 measurement.
+    The compiled form ({!cmodule}) references functions by {e index}
+    and contains no per-instance state, so it can be cached across
+    instantiations — {!Runtime.load} keys such a cache by the module's
+    SHA-256 measurement. The tree-walking {!Interp} is its independent
+    differential oracle.
 
     Modules must be validated ({!Validate.validate}) before
     {!compile}: the flattener trusts the types. *)
@@ -276,7 +276,7 @@ type cctx = {
   cglobals_t : globaltype array;
   clocals : valtype array;
   cnloc : int; (* locals count = offset of stack slot 0 in the register file *)
-  mutable cstack : valtype list; (* compile-time type stack, top first *)
+  mutable cstack : valtype array; (* compile-time type stack: slot k = height k; grows *)
   mutable cheight : int;
   mutable cmax : int;
   mutable cframes : cframe list; (* innermost first *)
@@ -332,7 +332,9 @@ let commutes = function Add | Mul | And | Or | Xor -> true | _ -> false
    [tail] just produced, that slot is dead afterwards, and folds only
    fire when [tail]'s destination is exactly the natural operand slot
    (a stack position >= cnloc), never a local carrying a live value.
-   Returns the combined op, or None to emit [pending] as-is. *)
+   Returns the combined op, or [OHalt] (never a fold result) to emit
+   [pending] as-is; a sentinel rather than an option, so a failed fold
+   allocates nothing. *)
 (* Shift count when [op]/[c] is a scaled-address producer: the shift
    amount for [Shl], log2 for a power-of-two [Mul], -1 otherwise. *)
 let shift_amount op c =
@@ -343,7 +345,7 @@ let shift_amount op c =
     log2 0 c
   | _ -> -1
 
-let absorb ~nloc (pending : op) (tail : op) : op option =
+let absorb ~nloc (pending : op) (tail : op) : op =
   let stack_slot s = s >= nloc in
   match (pending, tail) with
   (* -- operand folding into 3-address i32 arithmetic ---------------- *)
@@ -353,109 +355,103 @@ let absorb ~nloc (pending : op) (tail : op) : op option =
     when t = b && b = a + 1 -> (
     (* right operand still at its natural push slot: read the move's
        source directly *)
-    Some
-      (match pending with
-      | OAdd32 _ -> OAdd32 (d, a, s)
-      | OSub32 _ -> OSub32 (d, a, s)
-      | OMul32 _ -> OMul32 (d, a, s)
-      | OAnd32 _ -> OAnd32 (d, a, s)
-      | OOr32 _ -> OOr32 (d, a, s)
-      | OXor32 _ -> OXor32 (d, a, s)
-      | OShl32 _ -> OShl32 (d, a, s)
-      | OShrS32 _ -> OShrS32 (d, a, s)
-      | OShrU32 _ -> OShrU32 (d, a, s)
-      | _ -> assert false))
+    match pending with
+    | OAdd32 _ -> OAdd32 (d, a, s)
+    | OSub32 _ -> OSub32 (d, a, s)
+    | OMul32 _ -> OMul32 (d, a, s)
+    | OAnd32 _ -> OAnd32 (d, a, s)
+    | OOr32 _ -> OOr32 (d, a, s)
+    | OXor32 _ -> OXor32 (d, a, s)
+    | OShl32 _ -> OShl32 (d, a, s)
+    | OShrS32 _ -> OShrS32 (d, a, s)
+    | OShrU32 _ -> OShrU32 (d, a, s)
+    | _ -> assert false)
   | (OAdd32 (d, a, b) | OSub32 (d, a, b) | OMul32 (d, a, b) | OAnd32 (d, a, b)
     | OOr32 (d, a, b) | OXor32 (d, a, b) | OShl32 (d, a, b) | OShrS32 (d, a, b)
     | OShrU32 (d, a, b)), OConstI (t, v)
     when t = b && b = a + 1 ->
-    Some (OBin3I32 (ibinop_of_spec pending, d, a, v))
+    OBin3I32 (ibinop_of_spec pending, d, a, v)
   | (OAdd32 (d, a, b) | OSub32 (d, a, b) | OMul32 (d, a, b) | OAnd32 (d, a, b)
     | OOr32 (d, a, b) | OXor32 (d, a, b) | OShl32 (d, a, b) | OShrS32 (d, a, b)
     | OShrU32 (d, a, b)), OMovI (t, s)
     when t = a && a = d && b <> a + 1 -> (
     (* right operand already folded; now fold the left push *)
-    Some
-      (match pending with
-      | OAdd32 _ -> OAdd32 (d, s, b)
-      | OSub32 _ -> OSub32 (d, s, b)
-      | OMul32 _ -> OMul32 (d, s, b)
-      | OAnd32 _ -> OAnd32 (d, s, b)
-      | OOr32 _ -> OOr32 (d, s, b)
-      | OXor32 _ -> OXor32 (d, s, b)
-      | OShl32 _ -> OShl32 (d, s, b)
-      | OShrS32 _ -> OShrS32 (d, s, b)
-      | OShrU32 _ -> OShrU32 (d, s, b)
-      | _ -> assert false))
-  | OBin3I32 (op, d, a, imm), OMovI (t, s) when t = a && a = d -> Some (OBin3I32 (op, d, s, imm))
+    match pending with
+    | OAdd32 _ -> OAdd32 (d, s, b)
+    | OSub32 _ -> OSub32 (d, s, b)
+    | OMul32 _ -> OMul32 (d, s, b)
+    | OAnd32 _ -> OAnd32 (d, s, b)
+    | OOr32 _ -> OOr32 (d, s, b)
+    | OXor32 _ -> OXor32 (d, s, b)
+    | OShl32 _ -> OShl32 (d, s, b)
+    | OShrS32 _ -> OShrS32 (d, s, b)
+    | OShrU32 _ -> OShrU32 (d, s, b)
+    | _ -> assert false)
+  | OBin3I32 (op, d, a, imm), OMovI (t, s) when t = a && a = d -> OBin3I32 (op, d, s, imm)
   | (OAdd32 (d, a, b) | OMul32 (d, a, b) | OAnd32 (d, a, b) | OOr32 (d, a, b)
     | OXor32 (d, a, b)), OConstI (t, v)
     when t = a && a = d && b <> a + 1 && commutes (ibinop_of_spec pending) ->
     (* constant pushed first on a commutative op: swap operands *)
-    Some (OBin3I32 (ibinop_of_spec pending, d, b, v))
+    OBin3I32 (ibinop_of_spec pending, d, b, v)
   (* -- operand folding into i32 comparisons ------------------------- *)
-  | OIRel32 (op, d, a, b), OMovI (t, s) when t = b && b = a + 1 -> Some (OIRel32 (op, d, a, s))
+  | OIRel32 (op, d, a, b), OMovI (t, s) when t = b && b = a + 1 -> OIRel32 (op, d, a, s)
   | OIRel32 (op, d, a, b), OConstI (t, v) when t = b && b = a + 1 ->
-    Some (OIRelI32 (op, d, a, v))
+    OIRelI32 (op, d, a, v)
   | OIRel32 (op, d, a, b), OMovI (t, s) when t = a && a = d && b <> a + 1 ->
-    Some (OIRel32 (op, d, s, b))
-  | OIRelI32 (op, d, a, imm), OMovI (t, s) when t = a && a = d -> Some (OIRelI32 (op, d, s, imm))
+    OIRel32 (op, d, s, b)
+  | OIRelI32 (op, d, a, imm), OMovI (t, s) when t = a && a = d -> OIRelI32 (op, d, s, imm)
   (* -- operand folding into f64 arithmetic -------------------------- *)
   | (OFAdd64 (d, a, b) | OFSub64 (d, a, b) | OFMul64 (d, a, b) | OFDiv64 (d, a, b)),
     OMovF (t, s)
     when t = b && b = a + 1 -> (
-    Some
-      (match pending with
-      | OFAdd64 _ -> OFAdd64 (d, a, s)
-      | OFSub64 _ -> OFSub64 (d, a, s)
-      | OFMul64 _ -> OFMul64 (d, a, s)
-      | OFDiv64 _ -> OFDiv64 (d, a, s)
-      | _ -> assert false))
+    match pending with
+    | OFAdd64 _ -> OFAdd64 (d, a, s)
+    | OFSub64 _ -> OFSub64 (d, a, s)
+    | OFMul64 _ -> OFMul64 (d, a, s)
+    | OFDiv64 _ -> OFDiv64 (d, a, s)
+    | _ -> assert false)
   | (OFAdd64 (d, a, b) | OFSub64 (d, a, b) | OFMul64 (d, a, b) | OFDiv64 (d, a, b)),
     OMovF (t, s)
     when t = a && a = d && b <> a + 1 -> (
-    Some
-      (match pending with
-      | OFAdd64 _ -> OFAdd64 (d, s, b)
-      | OFSub64 _ -> OFSub64 (d, s, b)
-      | OFMul64 _ -> OFMul64 (d, s, b)
-      | OFDiv64 _ -> OFDiv64 (d, s, b)
-      | _ -> assert false))
+    match pending with
+    | OFAdd64 _ -> OFAdd64 (d, s, b)
+    | OFSub64 _ -> OFSub64 (d, s, b)
+    | OFMul64 _ -> OFMul64 (d, s, b)
+    | OFDiv64 _ -> OFDiv64 (d, s, b)
+    | _ -> assert false)
   | (OFAdd64 (d, a, b) | OFSub64 (d, a, b) | OFMul64 (d, a, b) | OFDiv64 (d, a, b)),
     OConstF (t, v)
     when t = b && b = a + 1 -> (
-    Some
-      (match pending with
-      | OFAdd64 _ -> OFImm (Fadd, d, a, v)
-      | OFSub64 _ -> OFImm (Fsub, d, a, v)
-      | OFMul64 _ -> OFImm (Fmul, d, a, v)
-      | OFDiv64 _ -> OFImm (Fdiv, d, a, v)
-      | _ -> assert false))
+    match pending with
+    | OFAdd64 _ -> OFImm (Fadd, d, a, v)
+    | OFSub64 _ -> OFImm (Fsub, d, a, v)
+    | OFMul64 _ -> OFImm (Fmul, d, a, v)
+    | OFDiv64 _ -> OFImm (Fdiv, d, a, v)
+    | _ -> assert false)
   | (OFAdd64 (d, a, b) | OFMul64 (d, a, b)), OConstF (t, v) when t = a && a = d && b <> a + 1 ->
     (* constant pushed first on a commutative f64 op *)
-    Some (OFImm ((match pending with OFAdd64 _ -> Fadd | _ -> Fmul), d, b, v))
-  | OFImm (op, d, a, c), OMovF (t, s) when t = a && a = d -> Some (OFImm (op, d, s, c))
+    OFImm ((match pending with OFAdd64 _ -> Fadd | _ -> Fmul), d, b, v)
+  | OFImm (op, d, a, c), OMovF (t, s) when t = a && a = d -> OFImm (op, d, s, c)
   (* -- conversions --------------------------------------------------- *)
-  | OCvtIF (d, a), OMovI (t, s) when t = a && a = d -> Some (OCvtIF (d, s))
-  | OCvt (op, d, a), OMovI (t, s) when t = a && a = d -> Some (OCvt (op, d, s))
-  | OCvt (op, d, a), OMovL (t, s) when t = a && a = d -> Some (OCvt (op, d, s))
-  | OCvt (op, d, a), OMovF (t, s) when t = a && a = d -> Some (OCvt (op, d, s))
+  | OCvtIF (d, a), OMovI (t, s) when t = a && a = d -> OCvtIF (d, s)
+  | OCvt (op, d, a), OMovI (t, s) when t = a && a = d -> OCvt (op, d, s)
+  | OCvt (op, d, a), OMovL (t, s) when t = a && a = d -> OCvt (op, d, s)
+  | OCvt (op, d, a), OMovF (t, s) when t = a && a = d -> OCvt (op, d, s)
   (* -- address/value folding into loads and stores ------------------ *)
-  | OLoadI32 (off, d, a), OMovI (t, s) when t = a && a = d -> Some (OLoadI32 (off, d, s))
-  | OLoadI64 (off, d, a), OMovI (t, s) when t = a && a = d -> Some (OLoadI64 (off, d, s))
-  | OLoadF64 (off, d, a), OMovI (t, s) when t = a && a = d -> Some (OLoadF64 (off, d, s))
-  | OStoreI32 (off, a, v), OMovI (t, s) when t = v && v = a + 1 -> Some (OStoreI32 (off, a, s))
-  | OStoreI64 (off, a, v), OMovL (t, s) when t = v && v = a + 1 -> Some (OStoreI64 (off, a, s))
-  | OStoreF64 (off, a, v), OMovF (t, s) when t = v && v = a + 1 -> Some (OStoreF64 (off, a, s))
+  | OLoadI32 (off, d, a), OMovI (t, s) when t = a && a = d -> OLoadI32 (off, d, s)
+  | OLoadI64 (off, d, a), OMovI (t, s) when t = a && a = d -> OLoadI64 (off, d, s)
+  | OLoadF64 (off, d, a), OMovI (t, s) when t = a && a = d -> OLoadF64 (off, d, s)
+  | OStoreI32 (off, a, v), OMovI (t, s) when t = v && v = a + 1 -> OStoreI32 (off, a, s)
+  | OStoreI64 (off, a, v), OMovL (t, s) when t = v && v = a + 1 -> OStoreI64 (off, a, s)
+  | OStoreF64 (off, a, v), OMovF (t, s) when t = v && v = a + 1 -> OStoreF64 (off, a, s)
   | (OStoreI32 (off, a, v) | OStoreI64 (off, a, v) | OStoreF64 (off, a, v)), OMovI (t, s)
     when t = a && v <> a + 1 -> (
     (* value already folded; the trailing op is now the address push *)
-    Some
-      (match pending with
-      | OStoreI32 _ -> OStoreI32 (off, s, v)
-      | OStoreI64 _ -> OStoreI64 (off, s, v)
-      | OStoreF64 _ -> OStoreF64 (off, s, v)
-      | _ -> assert false))
+    match pending with
+    | OStoreI32 _ -> OStoreI32 (off, s, v)
+    | OStoreI64 _ -> OStoreI64 (off, s, v)
+    | OStoreF64 _ -> OStoreF64 (off, s, v)
+    | _ -> assert false)
   (* -- scaled-address folding -----------------------------------------
         (x << k) + b  /  (x * 2^k) + b  address chains collapse into a
         single [OScaled]/[OScaledR], which then fuses into the memory op
@@ -466,69 +462,63 @@ let absorb ~nloc (pending : op) (tail : op) : op option =
         (x +- c) lsl k has the same low bits as (x lsl k) +- (c lsl k). *)
   | OBin3I32 (Add, d, a, c2), OBin3I32 (((Shl | Mul) as bop), t, x, c)
     when t = a && a = d && stack_slot a && shift_amount bop c >= 0 ->
-    Some (OScaled (d, x, shift_amount bop c, wrap32 c2))
+    OScaled (d, x, shift_amount bop c, wrap32 c2)
   | OBin3I32 (((Shl | Mul) as bop), d, a, c), OBin3I32 (((Add | Sub) as op2), t, x, c2)
     when t = a && a = d && stack_slot a && shift_amount bop c >= 0 ->
     let k = shift_amount bop c in
-    Some (OScaled (d, x, k, wrap32 ((match op2 with Sub -> -c2 | _ -> c2) lsl k)))
+    OScaled (d, x, k, wrap32 ((match op2 with Sub -> -c2 | _ -> c2) lsl k))
   | OBin3I32 (Add, d, a, c2), OScaled (t, x, k, b0) when t = a && a = d && stack_slot a ->
-    Some (OScaled (d, x, k, wrap32 (b0 + c2)))
+    OScaled (d, x, k, wrap32 (b0 + c2))
   | OAdd32 (d, a, b), OBin3I32 (((Shl | Mul) as bop), t, x, c)
     when t = a && a = d && b <> a && stack_slot a && shift_amount bop c >= 0 ->
-    Some (OScaledR (d, x, shift_amount bop c, b))
+    OScaledR (d, x, shift_amount bop c, b)
   | OAdd32 (d, a, b), OBin3I32 (((Shl | Mul) as bop), t, x, c)
     when t = b && b = a + 1 && a <> b && stack_slot b && shift_amount bop c >= 0 ->
-    Some (OScaledR (d, x, shift_amount bop c, a))
+    OScaledR (d, x, shift_amount bop c, a)
   | (OLoadI32 (off, d, a) | OLoadI64 (off, d, a) | OLoadF64 (off, d, a)),
     OBin3I32 (((Shl | Mul) as bop), t, x, c)
     when t = a && a = d && stack_slot a && shift_amount bop c >= 0 ->
     let k = shift_amount bop c in
-    Some
-      (match pending with
-      | OLoadI32 _ -> OLoadI32X (off, 0, d, x, k)
-      | OLoadI64 _ -> OLoadI64X (off, 0, d, x, k)
-      | OLoadF64 _ -> OLoadF64X (off, 0, d, x, k)
-      | _ -> assert false)
+    (match pending with
+    | OLoadI32 _ -> OLoadI32X (off, 0, d, x, k)
+    | OLoadI64 _ -> OLoadI64X (off, 0, d, x, k)
+    | OLoadF64 _ -> OLoadF64X (off, 0, d, x, k)
+    | _ -> assert false)
   | (OLoadI32 (off, d, a) | OLoadI64 (off, d, a) | OLoadF64 (off, d, a)), OScaled (t, x, k, b0)
     when t = a && a = d && stack_slot a ->
-    Some
-      (match pending with
-      | OLoadI32 _ -> OLoadI32X (off, b0, d, x, k)
-      | OLoadI64 _ -> OLoadI64X (off, b0, d, x, k)
-      | OLoadF64 _ -> OLoadF64X (off, b0, d, x, k)
-      | _ -> assert false)
+    (match pending with
+    | OLoadI32 _ -> OLoadI32X (off, b0, d, x, k)
+    | OLoadI64 _ -> OLoadI64X (off, b0, d, x, k)
+    | OLoadF64 _ -> OLoadF64X (off, b0, d, x, k)
+    | _ -> assert false)
   | (OLoadI32 (off, d, a) | OLoadF64 (off, d, a)), OScaledR (t, x, k, r)
     when t = a && a = d && stack_slot a ->
-    Some
-      (match pending with
-      | OLoadI32 _ -> OLoadI32RX (off, d, x, k, r)
-      | OLoadF64 _ -> OLoadF64RX (off, d, x, k, r)
-      | _ -> assert false)
+    (match pending with
+    | OLoadI32 _ -> OLoadI32RX (off, d, x, k, r)
+    | OLoadF64 _ -> OLoadF64RX (off, d, x, k, r)
+    | _ -> assert false)
   | (OStoreI32 (off, a, v) | OStoreI64 (off, a, v) | OStoreF64 (off, a, v)),
     OBin3I32 (((Shl | Mul) as bop), t, x, c)
     when t = a && v <> a + 1 && stack_slot a && shift_amount bop c >= 0 ->
     let k = shift_amount bop c in
-    Some
-      (match pending with
-      | OStoreI32 _ -> OStoreI32X (off, 0, x, k, v)
-      | OStoreI64 _ -> OStoreI64X (off, 0, x, k, v)
-      | OStoreF64 _ -> OStoreF64X (off, 0, x, k, v)
-      | _ -> assert false)
+    (match pending with
+    | OStoreI32 _ -> OStoreI32X (off, 0, x, k, v)
+    | OStoreI64 _ -> OStoreI64X (off, 0, x, k, v)
+    | OStoreF64 _ -> OStoreF64X (off, 0, x, k, v)
+    | _ -> assert false)
   | (OStoreI32 (off, a, v) | OStoreI64 (off, a, v) | OStoreF64 (off, a, v)), OScaled (t, x, k, b0)
     when t = a && v <> a + 1 && stack_slot a ->
-    Some
-      (match pending with
-      | OStoreI32 _ -> OStoreI32X (off, b0, x, k, v)
-      | OStoreI64 _ -> OStoreI64X (off, b0, x, k, v)
-      | OStoreF64 _ -> OStoreF64X (off, b0, x, k, v)
-      | _ -> assert false)
+    (match pending with
+    | OStoreI32 _ -> OStoreI32X (off, b0, x, k, v)
+    | OStoreI64 _ -> OStoreI64X (off, b0, x, k, v)
+    | OStoreF64 _ -> OStoreF64X (off, b0, x, k, v)
+    | _ -> assert false)
   | (OStoreI32 (off, a, v) | OStoreF64 (off, a, v)), OScaledR (t, x, k, r)
     when t = a && v <> a + 1 && stack_slot a ->
-    Some
-      (match pending with
-      | OStoreI32 _ -> OStoreI32RX (off, x, k, r, v)
-      | OStoreF64 _ -> OStoreF64RX (off, x, k, r, v)
-      | _ -> assert false)
+    (match pending with
+    | OStoreI32 _ -> OStoreI32RX (off, x, k, r, v)
+    | OStoreF64 _ -> OStoreF64RX (off, x, k, r, v)
+    | _ -> assert false)
   (* -- compare-and-branch fusion ------------------------------------
         Guard: only fold a producer away when its destination [c] is a
         dead stack slot. After local.set retargeting the producer's
@@ -537,61 +527,61 @@ let absorb ~nloc (pending : op) (tail : op) : op option =
         OIRel32 writing z as the trailing op) — folding that producer
         into the branch would delete a live local store. *)
   | OBrIf (c, e), OIRel32 (op, t, a, b) when t = c && stack_slot c ->
-    Some (OBrCmpR32 (op, a, b, e))
+    OBrCmpR32 (op, a, b, e)
   | OBrIf (c, e), OIRelI32 (op, t, a, imm) when t = c && stack_slot c ->
-    Some (OBrCmpI32 (op, a, imm, e))
+    OBrCmpI32 (op, a, imm, e)
   | OBrIfNot (c, e), OIRel32 (op, t, a, b) when t = c && stack_slot c ->
-    Some (OBrCmpR32 (negate_irelop op, a, b, e))
+    OBrCmpR32 (negate_irelop op, a, b, e)
   | OBrIfNot (c, e), OIRelI32 (op, t, a, imm) when t = c && stack_slot c ->
-    Some (OBrCmpI32 (negate_irelop op, a, imm, e))
-  | OBrIf (c, e), OTestI t when t = c && stack_slot c -> Some (OBrIfNot (c, e))
-  | OBrIfNot (c, e), OTestI t when t = c && stack_slot c -> Some (OBrIf (c, e))
-  | OBrIf (c, e), OMovI (t, s) when t = c && stack_slot c -> Some (OBrIf (s, e))
-  | OBrIfNot (c, e), OMovI (t, s) when t = c && stack_slot c -> Some (OBrIfNot (s, e))
+    OBrCmpI32 (negate_irelop op, a, imm, e)
+  | OBrIf (c, e), OTestI t when t = c && stack_slot c -> OBrIfNot (c, e)
+  | OBrIfNot (c, e), OTestI t when t = c && stack_slot c -> OBrIf (c, e)
+  | OBrIf (c, e), OMovI (t, s) when t = c && stack_slot c -> OBrIf (s, e)
+  | OBrIfNot (c, e), OMovI (t, s) when t = c && stack_slot c -> OBrIfNot (s, e)
   (* -- local.set retargeting: rewrite the producer's destination ----- *)
-  | OMovI (z, s), OConstI (t, v) when t = s && stack_slot s -> Some (OConstI (z, v))
-  | OMovI (z, s), OMovI (t, x) when t = s && stack_slot s -> Some (OMovI (z, x))
-  | OMovI (z, s), OAdd32 (t, a, b) when t = s && stack_slot s -> Some (OAdd32 (z, a, b))
-  | OMovI (z, s), OSub32 (t, a, b) when t = s && stack_slot s -> Some (OSub32 (z, a, b))
-  | OMovI (z, s), OMul32 (t, a, b) when t = s && stack_slot s -> Some (OMul32 (z, a, b))
-  | OMovI (z, s), OAnd32 (t, a, b) when t = s && stack_slot s -> Some (OAnd32 (z, a, b))
-  | OMovI (z, s), OOr32 (t, a, b) when t = s && stack_slot s -> Some (OOr32 (z, a, b))
-  | OMovI (z, s), OXor32 (t, a, b) when t = s && stack_slot s -> Some (OXor32 (z, a, b))
-  | OMovI (z, s), OShl32 (t, a, b) when t = s && stack_slot s -> Some (OShl32 (z, a, b))
-  | OMovI (z, s), OShrS32 (t, a, b) when t = s && stack_slot s -> Some (OShrS32 (z, a, b))
-  | OMovI (z, s), OShrU32 (t, a, b) when t = s && stack_slot s -> Some (OShrU32 (z, a, b))
-  | OMovI (z, s), OBin3I32 (op, t, a, imm) when t = s && stack_slot s -> Some (OBin3I32 (op, z, a, imm))
-  | OMovI (z, s), OIRel32 (op, t, a, b) when t = s && stack_slot s -> Some (OIRel32 (op, z, a, b))
-  | OMovI (z, s), OIRelI32 (op, t, a, imm) when t = s && stack_slot s -> Some (OIRelI32 (op, z, a, imm))
-  | OMovI (z, s), OLoadI32 (off, t, a) when t = s && stack_slot s -> Some (OLoadI32 (off, z, a))
-  | OMovF (z, s), OConstF (t, v) when t = s && stack_slot s -> Some (OConstF (z, v))
-  | OMovF (z, s), OMovF (t, x) when t = s && stack_slot s -> Some (OMovF (z, x))
-  | OMovF (z, s), OFAdd64 (t, a, b) when t = s && stack_slot s -> Some (OFAdd64 (z, a, b))
-  | OMovF (z, s), OFSub64 (t, a, b) when t = s && stack_slot s -> Some (OFSub64 (z, a, b))
-  | OMovF (z, s), OFMul64 (t, a, b) when t = s && stack_slot s -> Some (OFMul64 (z, a, b))
-  | OMovF (z, s), OFDiv64 (t, a, b) when t = s && stack_slot s -> Some (OFDiv64 (z, a, b))
-  | OMovF (z, s), OLoadF64 (off, t, a) when t = s && stack_slot s -> Some (OLoadF64 (off, z, a))
-  | OMovF (z, s), OFImm (op, t, a, c) when t = s && stack_slot s -> Some (OFImm (op, z, a, c))
-  | OMovI (z, s), OScaled (t, x, k, b0) when t = s && stack_slot s -> Some (OScaled (z, x, k, b0))
-  | OMovI (z, s), OScaledR (t, x, k, r) when t = s && stack_slot s -> Some (OScaledR (z, x, k, r))
+  | OMovI (z, s), OConstI (t, v) when t = s && stack_slot s -> OConstI (z, v)
+  | OMovI (z, s), OMovI (t, x) when t = s && stack_slot s -> OMovI (z, x)
+  | OMovI (z, s), OAdd32 (t, a, b) when t = s && stack_slot s -> OAdd32 (z, a, b)
+  | OMovI (z, s), OSub32 (t, a, b) when t = s && stack_slot s -> OSub32 (z, a, b)
+  | OMovI (z, s), OMul32 (t, a, b) when t = s && stack_slot s -> OMul32 (z, a, b)
+  | OMovI (z, s), OAnd32 (t, a, b) when t = s && stack_slot s -> OAnd32 (z, a, b)
+  | OMovI (z, s), OOr32 (t, a, b) when t = s && stack_slot s -> OOr32 (z, a, b)
+  | OMovI (z, s), OXor32 (t, a, b) when t = s && stack_slot s -> OXor32 (z, a, b)
+  | OMovI (z, s), OShl32 (t, a, b) when t = s && stack_slot s -> OShl32 (z, a, b)
+  | OMovI (z, s), OShrS32 (t, a, b) when t = s && stack_slot s -> OShrS32 (z, a, b)
+  | OMovI (z, s), OShrU32 (t, a, b) when t = s && stack_slot s -> OShrU32 (z, a, b)
+  | OMovI (z, s), OBin3I32 (op, t, a, imm) when t = s && stack_slot s -> OBin3I32 (op, z, a, imm)
+  | OMovI (z, s), OIRel32 (op, t, a, b) when t = s && stack_slot s -> OIRel32 (op, z, a, b)
+  | OMovI (z, s), OIRelI32 (op, t, a, imm) when t = s && stack_slot s -> OIRelI32 (op, z, a, imm)
+  | OMovI (z, s), OLoadI32 (off, t, a) when t = s && stack_slot s -> OLoadI32 (off, z, a)
+  | OMovF (z, s), OConstF (t, v) when t = s && stack_slot s -> OConstF (z, v)
+  | OMovF (z, s), OMovF (t, x) when t = s && stack_slot s -> OMovF (z, x)
+  | OMovF (z, s), OFAdd64 (t, a, b) when t = s && stack_slot s -> OFAdd64 (z, a, b)
+  | OMovF (z, s), OFSub64 (t, a, b) when t = s && stack_slot s -> OFSub64 (z, a, b)
+  | OMovF (z, s), OFMul64 (t, a, b) when t = s && stack_slot s -> OFMul64 (z, a, b)
+  | OMovF (z, s), OFDiv64 (t, a, b) when t = s && stack_slot s -> OFDiv64 (z, a, b)
+  | OMovF (z, s), OLoadF64 (off, t, a) when t = s && stack_slot s -> OLoadF64 (off, z, a)
+  | OMovF (z, s), OFImm (op, t, a, c) when t = s && stack_slot s -> OFImm (op, z, a, c)
+  | OMovI (z, s), OScaled (t, x, k, b0) when t = s && stack_slot s -> OScaled (z, x, k, b0)
+  | OMovI (z, s), OScaledR (t, x, k, r) when t = s && stack_slot s -> OScaledR (z, x, k, r)
   | OMovI (z, s), OLoadI32X (off, b0, t, x, k) when t = s && stack_slot s ->
-    Some (OLoadI32X (off, b0, z, x, k))
+    OLoadI32X (off, b0, z, x, k)
   | OMovL (z, s), OLoadI64X (off, b0, t, x, k) when t = s && stack_slot s ->
-    Some (OLoadI64X (off, b0, z, x, k))
+    OLoadI64X (off, b0, z, x, k)
   | OMovF (z, s), OLoadF64X (off, b0, t, x, k) when t = s && stack_slot s ->
-    Some (OLoadF64X (off, b0, z, x, k))
+    OLoadF64X (off, b0, z, x, k)
   | OMovI (z, s), OLoadI32RX (off, t, x, k, r) when t = s && stack_slot s ->
-    Some (OLoadI32RX (off, z, x, k, r))
+    OLoadI32RX (off, z, x, k, r)
   | OMovF (z, s), OLoadF64RX (off, t, x, k, r) when t = s && stack_slot s ->
-    Some (OLoadF64RX (off, z, x, k, r))
-  | OMovF (z, s), OCvtIF (t, a) when t = s && stack_slot s -> Some (OCvtIF (z, a))
-  | OMovI (z, s), OCvt (op, t, a) when t = s && stack_slot s -> Some (OCvt (op, z, a))
-  | OMovL (z, s), OCvt (op, t, a) when t = s && stack_slot s -> Some (OCvt (op, z, a))
-  | OMovF (z, s), OCvt (op, t, a) when t = s && stack_slot s -> Some (OCvt (op, z, a))
-  | OMovL (z, s), OConstL (t, v) when t = s && stack_slot s -> Some (OConstL (z, v))
-  | OMovL (z, s), OMovL (t, x) when t = s && stack_slot s -> Some (OMovL (z, x))
-  | OMovL (z, s), OLoadI64 (off, t, a) when t = s && stack_slot s -> Some (OLoadI64 (off, z, a))
-  | _ -> None
+    OLoadF64RX (off, z, x, k, r)
+  | OMovF (z, s), OCvtIF (t, a) when t = s && stack_slot s -> OCvtIF (z, a)
+  | OMovI (z, s), OCvt (op, t, a) when t = s && stack_slot s -> OCvt (op, z, a)
+  | OMovL (z, s), OCvt (op, t, a) when t = s && stack_slot s -> OCvt (op, z, a)
+  | OMovF (z, s), OCvt (op, t, a) when t = s && stack_slot s -> OCvt (op, z, a)
+  | OMovL (z, s), OConstL (t, v) when t = s && stack_slot s -> OConstL (z, v)
+  | OMovL (z, s), OMovL (t, x) when t = s && stack_slot s -> OMovL (z, x)
+  | OMovL (z, s), OLoadI64 (off, t, a) when t = s && stack_slot s -> OLoadI64 (off, z, a)
+  | _ -> OHalt
 
 (* Emit with fusion: keep absorbing the trailing op while legal. The
    mark check guards relocation — combining into position [len - 1]
@@ -602,36 +592,43 @@ let emit_peep ctx o =
   let rec go o =
     if b.len > 0 && not (Hashtbl.mem ctx.cmarks b.len) then
       match absorb ~nloc:ctx.cnloc o b.arr.(b.len - 1) with
-      | Some o' ->
+      | OHalt -> emit ctx o
+      | o' ->
         b.len <- b.len - 1;
         go o'
-      | None -> emit ctx o
     else emit ctx o
   in
   go o
 
 let push_t ctx t =
-  ctx.cstack <- t :: ctx.cstack;
-  ctx.cheight <- ctx.cheight + 1;
-  if ctx.cheight > ctx.cmax then ctx.cmax <- ctx.cheight
+  let h = ctx.cheight in
+  if h = Array.length ctx.cstack then begin
+    let bigger = Array.make (2 * h) I32 in
+    Array.blit ctx.cstack 0 bigger 0 h;
+    ctx.cstack <- bigger
+  end;
+  ctx.cstack.(h) <- t;
+  ctx.cheight <- h + 1;
+  if h + 1 > ctx.cmax then ctx.cmax <- h + 1
+
+let drop_n ctx n =
+  if n > ctx.cheight then
+    invalid_arg "Fastinterp: compile-time stack underflow (module not validated?)";
+  ctx.cheight <- ctx.cheight - n
 
 let pop_t ctx =
-  match ctx.cstack with
-  | [] -> invalid_arg "Fastinterp: compile-time stack underflow (module not validated?)"
-  | t :: rest ->
-    ctx.cstack <- rest;
-    ctx.cheight <- ctx.cheight - 1;
-    t
-
-let pop_n ctx n = List.init n (fun _ -> pop_t ctx) |> List.rev
+  drop_n ctx 1;
+  ctx.cstack.(ctx.cheight)
 
 (* Reset the type stack at a label end: whatever path was taken, the
-   stack now holds [ts] at [entry]. *)
+   stack now holds [ts] at [entry]. Slots below [entry] are never
+   written inside the label, so they need no restoring. *)
 let reset_stack ctx entry ts =
-  let rec drop stack h = if h > entry then drop (List.tl stack) (h - 1) else stack in
-  ctx.cstack <- List.rev_append (List.rev ts) (drop ctx.cstack ctx.cheight);
-  ctx.cheight <- entry + List.length ts;
-  if ctx.cheight > ctx.cmax then ctx.cmax <- ctx.cheight
+  ctx.cheight <- entry;
+  List.iter (push_t ctx) ts
+
+(* Absolute register-file index of the current stack top. *)
+let h ctx = ctx.cnloc + ctx.cheight
 
 let kind_of_valtype = function I32 -> 0 | I64 -> 1 | F32 | F64 -> 2
 
@@ -694,27 +691,25 @@ let skind_of ty pack =
    diverts control unconditionally: the rest of the sequence is dead
    and must not be flattened. *)
 let rec compile_instr (ctx : cctx) (i : instr) : bool =
-  (* Absolute register-file index of the current stack top. *)
-  let h () = ctx.cnloc + ctx.cheight in
   match i with
   | Nop -> true
   | Unreachable ->
     emit ctx OUnreachable;
     false
   | Drop ->
-    ignore (pop_t ctx);
+    drop_n ctx 1;
     true
   | Select ->
-    ignore (pop_t ctx);
+    drop_n ctx 1;
     let t = pop_t ctx in
-    ignore (pop_t ctx);
+    drop_n ctx 1;
     push_t ctx t;
-    let d = h () - 1 in
+    let d = h ctx - 1 in
     emit ctx (match t with I32 -> OSelectI d | I64 -> OSelectL d | F32 | F64 -> OSelectF d);
     true
   | Const v ->
     push_t ctx (type_of_value v);
-    let d = h () - 1 in
+    let d = h ctx - 1 in
     emit ctx
       (match v with
       | VI32 x -> OConstI (d, Int32.to_int x)
@@ -724,7 +719,7 @@ let rec compile_instr (ctx : cctx) (i : instr) : bool =
   | LocalGet i ->
     let t = ctx.clocals.(i) in
     push_t ctx t;
-    let d = h () - 1 in
+    let d = h ctx - 1 in
     emit ctx
       (match t with
       | I32 -> OMovI (d, i)
@@ -733,7 +728,7 @@ let rec compile_instr (ctx : cctx) (i : instr) : bool =
     true
   | LocalSet i ->
     let t = pop_t ctx in
-    let s = h () in
+    let s = h ctx in
     (* Fusable: the producer of [s] can write the local directly. *)
     emit_peep ctx
       (match t with
@@ -742,8 +737,8 @@ let rec compile_instr (ctx : cctx) (i : instr) : bool =
       | F32 | F64 -> OMovF (i, s));
     true
   | LocalTee i ->
-    let t = List.hd ctx.cstack in
-    let s = h () - 1 in
+    let t = ctx.cstack.(ctx.cheight - 1) in
+    let s = h ctx - 1 in
     emit ctx
       (match t with
       | I32 -> OMovI (i, s)
@@ -753,7 +748,7 @@ let rec compile_instr (ctx : cctx) (i : instr) : bool =
   | GlobalGet i ->
     let t = ctx.cglobals_t.(i).content in
     push_t ctx t;
-    let d = h () - 1 in
+    let d = h ctx - 1 in
     emit ctx
       (match t with
       | I32 -> OGlobalGetI (d, i)
@@ -762,7 +757,7 @@ let rec compile_instr (ctx : cctx) (i : instr) : bool =
     true
   | GlobalSet i ->
     let t = pop_t ctx in
-    let s = h () in
+    let s = h ctx in
     emit ctx
       (match t with
       | I32 -> OGlobalSetI (i, s)
@@ -770,15 +765,15 @@ let rec compile_instr (ctx : cctx) (i : instr) : bool =
       | F32 | F64 -> OGlobalSetF (i, s));
     true
   | ITestop ty ->
-    ignore (pop_t ctx);
+    drop_n ctx 1;
     push_t ctx I32;
-    let s = h () - 1 in
+    let s = h ctx - 1 in
     emit ctx (match ty with I32 -> OTestI s | I64 -> OTestL s | F32 | F64 -> assert false);
     true
   | IUnop (ty, op) ->
-    ignore (pop_t ctx);
+    drop_n ctx 1;
     push_t ctx ty;
-    let s = h () - 1 in
+    let s = h ctx - 1 in
     emit ctx
       (match ty with
       | I32 -> OIUn32 (op, s)
@@ -786,10 +781,10 @@ let rec compile_instr (ctx : cctx) (i : instr) : bool =
       | F32 | F64 -> assert false);
     true
   | IBinop (ty, op) ->
-    ignore (pop_t ctx);
-    ignore (pop_t ctx);
+    drop_n ctx 1;
+    drop_n ctx 1;
     push_t ctx ty;
-    let d = h () - 1 in
+    let d = h ctx - 1 in
     emit_peep ctx
       (match ty with
       | I32 -> (
@@ -808,10 +803,10 @@ let rec compile_instr (ctx : cctx) (i : instr) : bool =
       | F32 | F64 -> assert false);
     true
   | IRelop (ty, op) ->
-    ignore (pop_t ctx);
-    ignore (pop_t ctx);
+    drop_n ctx 1;
+    drop_n ctx 1;
     push_t ctx I32;
-    let d = h () - 1 in
+    let d = h ctx - 1 in
     emit_peep ctx
       (match ty with
       | I32 -> OIRel32 (op, d, d, d + 1)
@@ -819,16 +814,16 @@ let rec compile_instr (ctx : cctx) (i : instr) : bool =
       | F32 | F64 -> assert false);
     true
   | FUnop (ty, op) ->
-    ignore (pop_t ctx);
+    drop_n ctx 1;
     push_t ctx ty;
-    let s = h () - 1 in
+    let s = h ctx - 1 in
     emit ctx (OFUn (op, s, (match ty with F32 -> true | _ -> false)));
     true
   | FBinop (ty, op) ->
-    ignore (pop_t ctx);
-    ignore (pop_t ctx);
+    drop_n ctx 1;
+    drop_n ctx 1;
     push_t ctx ty;
-    let d = h () - 1 in
+    let d = h ctx - 1 in
     emit_peep ctx
       (match ty with
       | F32 -> OFBin32 (op, d)
@@ -842,23 +837,23 @@ let rec compile_instr (ctx : cctx) (i : instr) : bool =
       | I32 | I64 -> assert false);
     true
   | FRelop (_, op) ->
-    ignore (pop_t ctx);
-    ignore (pop_t ctx);
+    drop_n ctx 1;
+    drop_n ctx 1;
     push_t ctx I32;
-    let d = h () - 1 in
+    let d = h ctx - 1 in
     emit ctx (OFRel (op, d));
     true
   | Cvtop op ->
-    ignore (pop_t ctx);
+    drop_n ctx 1;
     let _, dst = Validate.cvt_types op in
     push_t ctx dst;
-    let s = h () - 1 in
+    let s = h ctx - 1 in
     emit_peep ctx (match op with F64ConvertI32S -> OCvtIF (s, s) | _ -> OCvt (op, s, s));
     true
   | Load (ty, pack, m) ->
-    ignore (pop_t ctx);
+    drop_n ctx 1;
     push_t ctx ty;
-    let s = h () - 1 in
+    let s = h ctx - 1 in
     emit_peep ctx
       (match lkind_of ty pack with
       | LI32 -> OLoadI32 (m.offset, s, s)
@@ -867,9 +862,9 @@ let rec compile_instr (ctx : cctx) (i : instr) : bool =
       | k -> OLoad (k, m.offset, s));
     true
   | Store (ty, pack, m) ->
-    ignore (pop_t ctx);
-    ignore (pop_t ctx);
-    let s = h () in
+    drop_n ctx 1;
+    drop_n ctx 1;
+    let s = h ctx in
     emit_peep ctx
       (match skind_of ty pack with
       | SI32 -> OStoreI32 (m.offset, s, s + 1)
@@ -879,28 +874,28 @@ let rec compile_instr (ctx : cctx) (i : instr) : bool =
     true
   | MemorySize ->
     push_t ctx I32;
-    emit ctx (OMemSize (h () - 1));
+    emit ctx (OMemSize (h ctx - 1));
     true
   | MemoryGrow ->
-    ignore (pop_t ctx);
+    drop_n ctx 1;
     push_t ctx I32;
-    emit ctx (OMemGrow (h () - 1));
+    emit ctx (OMemGrow (h ctx - 1));
     true
   | Call f ->
     let ft = ctx.cfunc_types.(f) in
     let n = List.length ft.params in
-    let args_base = h () - n in
-    ignore (pop_n ctx n);
+    let args_base = h ctx - n in
+    drop_n ctx n;
     List.iter (push_t ctx) ft.results;
     emit ctx (OCall (f, args_base));
     true
   | CallIndirect tidx ->
     let ft = ctx.ctypes.(tidx) in
-    ignore (pop_t ctx);
-    let idx_slot = h () in
+    drop_n ctx 1;
+    let idx_slot = h ctx in
     let n = List.length ft.params in
-    let args_base = h () - n in
-    ignore (pop_n ctx n);
+    let args_base = h ctx - n in
+    drop_n ctx n;
     List.iter (push_t ctx) ft.results;
     emit ctx (OCallIndirect (tidx, idx_slot, args_base));
     true
@@ -943,10 +938,9 @@ let rec compile_instr (ctx : cctx) (i : instr) : bool =
     true
   | If (bt, then_, else_) ->
     let ts = match bt with BlockEmpty -> [] | BlockVal t -> [ t ] in
-    ignore (pop_t ctx);
+    drop_n ctx 1;
     let cond_slot = ctx.cnloc + ctx.cheight in
     let entry = ctx.cheight in
-    let saved_stack = ctx.cstack in
     let fr =
       { fr_entry = entry; fr_label_types = ts; fr_is_loop = false; fr_start = 0; fr_pending = [] }
     in
@@ -963,7 +957,6 @@ let rec compile_instr (ctx : cctx) (i : instr) : bool =
     end;
     mark_here ctx;
     else_edge.target <- here ctx;
-    ctx.cstack <- saved_stack;
     ctx.cheight <- entry;
     ignore (compile_seq ctx else_);
     ctx.cframes <- List.tl ctx.cframes;
@@ -976,12 +969,12 @@ let rec compile_instr (ctx : cctx) (i : instr) : bool =
     emit ctx (OJmp (branch_edge ctx n));
     false
   | BrIf n ->
-    ignore (pop_t ctx);
+    drop_n ctx 1;
     let cond_slot = ctx.cnloc + ctx.cheight in
     emit_peep ctx (OBrIf (cond_slot, branch_edge ctx n));
     true
   | BrTable (targets, default) ->
-    ignore (pop_t ctx);
+    drop_n ctx 1;
     let cond_slot = ctx.cnloc + ctx.cheight in
     let edges = Array.of_list (List.map (fun tgt -> branch_edge ctx tgt) targets) in
     let dedge = branch_edge ctx default in
@@ -1015,7 +1008,7 @@ let compile_func ~fuel ctypes cfunc_types cglobals_t (f : func) (ft : functype) 
       cglobals_t;
       clocals = local_types;
       cnloc = nloc;
-      cstack = [];
+      cstack = Array.make 16 I32;
       cheight = 0;
       cmax = List.length ft.results;
       cframes = [ fn_frame ];

@@ -3,9 +3,10 @@
     This is WaTZ's "interpreted" execution mode: no preprocessing of the
     bytecode, list-based operand stack, branch resolution by unwinding —
     simple and slow, exactly the trade-off described in §III
-    ("Interpreted is the simplest yet slowest"). The AOT tier
-    ({!Aot}) runs the same modules roughly an order of magnitude
-    faster. *)
+    ("Interpreted is the simplest yet slowest"). The pre-decoded
+    {!Fastinterp}, the runtime's load-time-translated default, runs the
+    same modules roughly an order of magnitude faster; this interpreter
+    stays as its independent differential oracle. *)
 
 open Types
 open Ast

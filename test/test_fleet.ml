@@ -217,6 +217,18 @@ let test_lossy_completion_and_accounting () =
 
 (* --- Net single-domain ownership ------------------------------------- *)
 
+(* Per-shard GC deltas are per-domain: splitting the same sessions over
+   two concurrently running shards must not double-count allocation. *)
+let test_gc_words_per_domain () =
+  let words_per_session shards =
+    let r = Fleet.run ~config:(config ~shards ~sessions:16 ~profile:Net.perfect ()) () in
+    Alcotest.(check int) (Printf.sprintf "%d shard(s) complete" shards) 16 r.Fleet.completed;
+    List.fold_left (fun acc (_, g) -> acc +. g.Fleet.minor_words) 0.0 r.Fleet.gc_per_shard /. 16.0
+  in
+  let one = words_per_session 1 and two = words_per_session 2 in
+  if Float.abs (two -. one) > 0.1 *. one then
+    Alcotest.failf "2-shard minor words/session %.0f not within 10%% of 1-shard %.0f" two one
+
 let test_net_domain_ownership () =
   let net = Net.create () in
   ignore (Net.listen net ~port:9200);
@@ -257,5 +269,6 @@ let suite =
         case "fibers: lossy 64-session storm completes" test_fibers_lossy_completion;
         case "lossy 4x4: completion + queue accounting" test_lossy_completion_and_accounting;
         case "net enforces single-domain ownership" test_net_domain_ownership;
+        case "GC words per session are per-domain" test_gc_words_per_domain;
       ] );
   ]

@@ -4,29 +4,24 @@
 open Watz_wasmc.Minic
 open Watz_wasmc.Minic.Dsl
 
-let run_f64 program name args =
+(* Run [name] on the tree-walking and the fast tier; they must agree. *)
+let run_both program name boxed =
   let m = compile program in
   Watz_wasm.Validate.validate m;
-  let rinst = Watz_wasm.Aot.instantiate m in
+  let finst = Watz_wasm.Fastinterp.instantiate (Watz_wasm.Fastinterp.compile m) in
   let inst = Watz_wasm.Instance.instantiate m in
-  let boxed = List.map (fun x -> Watz_wasm.Ast.VF64 x) args in
-  let a = Watz_wasm.Aot.invoke rinst name boxed in
+  let a = Watz_wasm.Fastinterp.invoke finst name boxed in
   let b = Watz_wasm.Interp.invoke (Option.get (Watz_wasm.Instance.export_func inst name)) boxed in
   Alcotest.(check bool) "tiers agree" true (Stdlib.( = ) a b);
-  match a with
+  a
+
+let run_f64 program name args =
+  match run_both program name (List.map (fun x -> Watz_wasm.Ast.VF64 x) args) with
   | [ Watz_wasm.Ast.VF64 x ] -> x
   | _ -> Alcotest.fail "expected one f64"
 
 let run_i32 program name args =
-  let m = compile program in
-  Watz_wasm.Validate.validate m;
-  let rinst = Watz_wasm.Aot.instantiate m in
-  let inst = Watz_wasm.Instance.instantiate m in
-  let boxed = List.map (fun x -> Watz_wasm.Ast.VI32 (Int32.of_int x)) args in
-  let a = Watz_wasm.Aot.invoke rinst name boxed in
-  let b = Watz_wasm.Interp.invoke (Option.get (Watz_wasm.Instance.export_func inst name)) boxed in
-  Alcotest.(check bool) "tiers agree" true (Stdlib.( = ) a b);
-  match a with
+  match run_both program name (List.map (fun x -> Watz_wasm.Ast.VI32 (Int32.of_int x)) args) with
   | [ Watz_wasm.Ast.VI32 x ] -> Int32.to_int x
   | _ -> Alcotest.fail "expected one i32"
 
@@ -174,11 +169,11 @@ let test_imports () =
   let m = compile p in
   Watz_wasm.Validate.validate m;
   let logged = ref [] in
-  let rinst =
-    Watz_wasm.Aot.instantiate
+  let finst =
+    Watz_wasm.Fastinterp.instantiate
       ~imports:
         [
-          Watz_wasm.Aot.host ~module_:"env" ~name:"log_i32" ~params:[ Watz_wasm.Types.I32 ]
+          Watz_wasm.Fastinterp.host ~module_:"env" ~name:"log_i32" ~params:[ Watz_wasm.Types.I32 ]
             ~results:[]
             (fun args ->
               (match args.(0) with
@@ -186,9 +181,9 @@ let test_imports () =
               | _ -> ());
               []);
         ]
-      m
+      (Watz_wasm.Fastinterp.compile m)
   in
-  let r = Watz_wasm.Aot.invoke rinst "f" [ Watz_wasm.Ast.VI32 41l ] in
+  let r = Watz_wasm.Fastinterp.invoke finst "f" [ Watz_wasm.Ast.VI32 41l ] in
   Alcotest.(check bool) "result" true (Stdlib.( = ) r [ Watz_wasm.Ast.VI32 42l ]);
   Alcotest.(check (list int)) "host saw arg" [ 41 ] !logged
 
@@ -213,8 +208,8 @@ let test_encode_runs_through_decoder () =
   let bytes = compile_to_bytes p in
   let m = Watz_wasm.Decode.decode bytes in
   Watz_wasm.Validate.validate m;
-  let rinst = Watz_wasm.Aot.instantiate m in
-  match Watz_wasm.Aot.invoke rinst "f" [ Watz_wasm.Ast.VF64 21.0 ] with
+  let finst = Watz_wasm.Fastinterp.instantiate (Watz_wasm.Fastinterp.compile m) in
+  match Watz_wasm.Fastinterp.invoke finst "f" [ Watz_wasm.Ast.VF64 21.0 ] with
   | [ Watz_wasm.Ast.VF64 x ] -> Alcotest.(check (float 0.0)) "through codec" 42.0 x
   | _ -> Alcotest.fail "bad result"
 

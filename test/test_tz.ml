@@ -245,6 +245,34 @@ let test_net_roundtrip () =
   Alcotest.(check (option string)) "client 1" (Some "world") (Net.recv_frame client);
   Alcotest.(check (option string)) "client 2" (Some "again") (Net.recv_frame client)
 
+(* Closed, drained pipes leave the network without a [tick]: callers
+   that never tick (the WASI-RA supplicant) must not retain every
+   finished connection's delivered bytes. *)
+let test_net_prunes_without_tick () =
+  let net = Net.create () in
+  ignore (Net.listen net ~port:7002);
+  for _ = 1 to 50 do
+    let client = Net.connect net ~port:7002 in
+    let server = Option.get (Net.accept net ~port:7002) in
+    Net.send_frame client (String.make 4096 'q');
+    ignore (Net.recv_frame server);
+    Net.send_frame server "ack";
+    Net.close client;
+    Net.close server
+  done;
+  Alcotest.(check int) "no pipes retained" 0 (List.length net.Net.pipes);
+  (* A pipe whose writer closed with bytes still in flight stays until
+     a tick delivers them. *)
+  let client = Net.connect net ~port:7002 in
+  let server = Option.get (Net.accept net ~port:7002) in
+  Net.set_profile server { Net.perfect with Net.delay_p = 1.0; max_delay_ticks = 1 };
+  Net.send_frame server "late";
+  Net.close server;
+  Alcotest.(check int) "undelivered pipe kept" 2 (List.length net.Net.pipes);
+  Net.tick net;
+  Alcotest.(check (option string)) "delivered by the tick" (Some "late") (Net.recv_frame client);
+  Alcotest.(check int) "then pruned" 1 (List.length net.Net.pipes)
+
 let test_net_partial_frame () =
   let net = Net.create () in
   ignore (Net.listen net ~port:7001);
@@ -299,5 +327,6 @@ let suite =
         case "connect refused" test_net_connect_refused;
         case "frame roundtrip" test_net_roundtrip;
         case "partial frames buffered" test_net_partial_frame;
+        case "closed pipes pruned without tick" test_net_prunes_without_tick;
       ] );
   ]

@@ -8,9 +8,10 @@ module Wasi = Watz_wasi.Wasi
 
 let wasi = "wasi_snapshot_preview1"
 
+(* Linked through the runtime's engine layer on the default fast tier,
+   the same path the secure-world runtime takes. *)
 let run_app ?(args = [ "app.wasm" ]) ?(environ = []) program =
-  let m = compile program in
-  Watz_wasm.Validate.validate m;
+  let prepared = Watz.Engine.prepare Watz.Engine.Fast (compile_to_bytes program) in
   let out = Buffer.create 64 in
   let rng = Watz_util.Prng.create 9L in
   let env =
@@ -19,9 +20,7 @@ let run_app ?(args = [ "app.wasm" ]) ?(environ = []) program =
       ~random:(Watz_util.Prng.bytes rng)
       ~write_out:(Buffer.add_string out) ()
   in
-  let inst = Watz_wasm.Aot.instantiate ~imports:(Wasi.aot_imports env) m in
-  Wasi.attach_aot_memory env inst;
-  (env, inst, out)
+  (env, Watz.Engine.instantiate ~wasi_env:env prepared, out)
 
 let imp name params ret = { i_module = wasi; i_name = name; i_params = params; i_ret = ret }
 
@@ -47,14 +46,14 @@ let test_args_marshalling () =
       ]
   in
   let _, inst, _ = run_app ~args:[ "demo.wasm"; "--verbose" ] p in
-  (match Watz_wasm.Aot.invoke inst "argc" [] with
+  (match Watz.Engine.invoke inst "argc" [] with
   | [ Watz_wasm.Ast.VI32 2l ] -> ()
   | _ -> Alcotest.fail "argc");
-  (match Watz_wasm.Aot.invoke inst "buf_size" [] with
+  (match Watz.Engine.invoke inst "buf_size" [] with
   | [ Watz_wasm.Ast.VI32 n ] ->
     Alcotest.(check int32) "argv buffer bytes" (Int32.of_int 20) n
   | _ -> Alcotest.fail "buf_size");
-  match Watz_wasm.Aot.invoke inst "first_byte" [] with
+  match Watz.Engine.invoke inst "first_byte" [] with
   | [ Watz_wasm.Ast.VI32 c ] -> Alcotest.(check int32) "argv[0][0] = 'd'" (Int32.of_int (Char.code 'd')) c
   | _ -> Alcotest.fail "first_byte"
 
@@ -69,7 +68,7 @@ let test_environ () =
       ]
   in
   let _, inst, _ = run_app ~environ:[ ("HOME", "/"); ("MODE", "tee") ] p in
-  match Watz_wasm.Aot.invoke inst "count" [] with
+  match Watz.Engine.invoke inst "count" [] with
   | [ Watz_wasm.Ast.VI32 2l ] -> ()
   | _ -> Alcotest.fail "environ count"
 
@@ -83,7 +82,7 @@ let test_clock_value () =
       ]
   in
   let _, inst, _ = run_app p in
-  match Watz_wasm.Aot.invoke inst "now" [] with
+  match Watz.Engine.invoke inst "now" [] with
   | [ Watz_wasm.Ast.VI64 1_234_567_890L ] -> ()
   | _ -> Alcotest.fail "clock value"
 
@@ -97,7 +96,7 @@ let test_random_get () =
       ]
   in
   let env, inst, _ = run_app p2 in
-  (match Watz_wasm.Aot.invoke inst "fill" [] with
+  (match Watz.Engine.invoke inst "fill" [] with
   | [ Watz_wasm.Ast.VI32 0l ] -> ()
   | _ -> Alcotest.fail "random_get rc");
   let mem = Option.get env.Wasi.memory in
@@ -114,7 +113,7 @@ let test_stub_returns_enosys () =
       ]
   in
   let _, inst, _ = run_app p in
-  match Watz_wasm.Aot.invoke inst "try_open" [] with
+  match Watz.Engine.invoke inst "try_open" [] with
   | [ Watz_wasm.Ast.VI32 52l ] -> () (* ENOSYS *)
   | [ Watz_wasm.Ast.VI32 other ] -> Alcotest.failf "expected ENOSYS, got %ld" other
   | _ -> Alcotest.fail "try_open"
@@ -126,10 +125,10 @@ let test_fd_write_bad_fd () =
       [ fn "w" [ ("fd", I32) ] (Some I32) [ ret (calle "fd_write" [ v "fd"; i 16; i 0; i 32 ]) ] ]
   in
   let _, inst, _ = run_app p in
-  (match Watz_wasm.Aot.invoke inst "w" [ Watz_wasm.Ast.VI32 7l ] with
+  (match Watz.Engine.invoke inst "w" [ Watz_wasm.Ast.VI32 7l ] with
   | [ Watz_wasm.Ast.VI32 8l ] -> () (* EBADF *)
   | _ -> Alcotest.fail "bad fd not rejected");
-  match Watz_wasm.Aot.invoke inst "w" [ Watz_wasm.Ast.VI32 1l ] with
+  match Watz.Engine.invoke inst "w" [ Watz_wasm.Ast.VI32 1l ] with
   | [ Watz_wasm.Ast.VI32 0l ] -> ()
   | _ -> Alcotest.fail "stdout refused"
 

@@ -10,11 +10,14 @@ module Iris = Watz_workloads.Iris
 module DB = Watz_workloads.Minidb
 module BT = Watz_workloads.Btree
 
-let run_wasm program name =
-  let m = Watz_wasmc.Minic.compile program in
+(* Validated and flattened for the fast tier, the runtime's default. *)
+let fast_instance m =
   Watz_wasm.Validate.validate m;
-  let inst = Watz_wasm.Aot.instantiate m in
-  match Watz_wasm.Aot.invoke inst name [] with
+  Watz_wasm.Fastinterp.instantiate (Watz_wasm.Fastinterp.compile m)
+
+let run_wasm program name =
+  let inst = fast_instance (Watz_wasmc.Minic.compile program) in
+  match Watz_wasm.Fastinterp.invoke inst name [] with
   | [ Watz_wasm.Ast.VF64 x ] -> x
   | _ -> Alcotest.fail "expected one f64"
 
@@ -36,32 +39,27 @@ let polybench_parity_cases =
     PB.all
 
 (* Differential check: every kernel must produce a bit-identical f64
-   checksum on the tree-walking interpreter, the pre-decoded fast
-   interpreter, and the AOT tier. *)
-let run_three_tiers program =
+   checksum on the tree-walking interpreter and the pre-decoded fast
+   interpreter. *)
+let run_two_tiers program =
   let m = Watz_wasmc.Minic.compile program in
-  Watz_wasm.Validate.validate m;
   let f64 = function
     | [ Watz_wasm.Ast.VF64 x ] -> x
     | _ -> Alcotest.fail "expected one f64"
   in
+  let fast = f64 (Watz_wasm.Fastinterp.invoke (fast_instance m) "run" []) in
   let inst = Watz_wasm.Instance.instantiate m in
   let interp =
     f64 (Watz_wasm.Interp.invoke (Option.get (Watz_wasm.Instance.export_func inst "run")) [])
   in
-  let fast =
-    f64 (Watz_wasm.Fastinterp.invoke (Watz_wasm.Fastinterp.instantiate (Watz_wasm.Fastinterp.compile m)) "run" [])
-  in
-  let aot = f64 (Watz_wasm.Aot.invoke (Watz_wasm.Aot.instantiate m) "run" []) in
-  (interp, fast, aot)
+  (interp, fast)
 
 let tier_differential_cases =
   let bits = Int64.bits_of_float in
   let check name program =
     Alcotest.test_case name `Quick (fun () ->
-        let interp, fast, aot = run_three_tiers program in
-        Alcotest.(check int64) (name ^ ": interp = fast") (bits interp) (bits fast);
-        Alcotest.(check int64) (name ^ ": interp = aot") (bits interp) (bits aot))
+        let interp, fast = run_two_tiers program in
+        Alcotest.(check int64) (name ^ ": interp = fast") (bits interp) (bits fast))
   in
   List.map (fun k -> check k.PB.name k.PB.program) PB.all
   @ List.map (fun e -> check (Printf.sprintf "st-%d" e.ST.id) e.ST.program) ST.all
@@ -167,12 +165,10 @@ let test_genann_wasm_bit_identical () =
       records
   done;
   (* Wasm training. *)
-  let m = Watz_wasmc.Minic.compile (GW.program ~mem_pages:2 ()) in
-  Watz_wasm.Validate.validate m;
-  let inst = Watz_wasm.Aot.instantiate m in
-  let invoke name args = Watz_wasm.Aot.invoke inst name args in
+  let inst = fast_instance (Watz_wasmc.Minic.compile (GW.program ~mem_pages:2 ())) in
+  let invoke name args = Watz_wasm.Fastinterp.invoke inst name args in
   GW.seed_weights ~invoke initial;
-  let mem = Option.get (Watz_wasm.Aot.export_memory inst "memory") in
+  let mem = Option.get (Watz_wasm.Fastinterp.export_memory inst "memory") in
   GW.write_dataset mem data;
   GW.train ~invoke ~n_records ~epochs:3 ~rate:0.7;
   let wasm_weights = GW.read_weights ~invoke in
@@ -195,8 +191,8 @@ let test_genann_wasm_bit_identical () =
     acc_wasm
 
 let test_genann_tiers_bit_identical () =
-  (* The same training run must produce bit-identical weights on all
-     three execution tiers. *)
+  (* The same training run must produce bit-identical weights on both
+     execution tiers. *)
   let records = Iris.generate ~seed:11L () in
   let data = Iris.to_bytes records in
   let n_records = Array.length records in
@@ -223,16 +219,10 @@ let test_genann_tiers_bit_identical () =
     let invoke name args = Watz_wasm.Fastinterp.invoke inst name args in
     train_on ~invoke ~memory:(Option.get (Watz_wasm.Fastinterp.export_memory inst "memory"))
   in
-  let aot_w =
-    let inst = Watz_wasm.Aot.instantiate m in
-    let invoke name args = Watz_wasm.Aot.invoke inst name args in
-    train_on ~invoke ~memory:(Option.get (Watz_wasm.Aot.export_memory inst "memory"))
-  in
   Array.iteri
     (fun k w ->
       let bits = Int64.bits_of_float in
-      Alcotest.(check int64) (Printf.sprintf "weight %d interp = fast" k) (bits w) (bits fast_w.(k));
-      Alcotest.(check int64) (Printf.sprintf "weight %d interp = aot" k) (bits w) (bits aot_w.(k)))
+      Alcotest.(check int64) (Printf.sprintf "weight %d interp = fast" k) (bits w) (bits fast_w.(k)))
     interp_w
 
 (* ------------------------------------------------------------------ *)
@@ -437,10 +427,7 @@ let test_bigapp_size_and_runs () =
   let size_mb = float_of_int (String.length bytes) /. 1048576.0 in
   Alcotest.(check bool) (Printf.sprintf "size %.2f MB in [0.9, 1.3]" size_mb) true
     (size_mb > 0.9 && size_mb < 1.3);
-  let m = Watz_wasm.Decode.decode bytes in
-  Watz_wasm.Validate.validate m;
-  let inst = Watz_wasm.Aot.instantiate m in
-  match Watz_wasm.Aot.invoke inst "_start" [] with
+  match Watz_wasm.Fastinterp.invoke (fast_instance (Watz_wasm.Decode.decode bytes)) "_start" [] with
   | [] -> ()
   | _ -> Alcotest.fail "_start should return nothing"
 
@@ -461,7 +448,7 @@ let suite =
         case "learns xor" test_genann_learns_xor_shape;
         case "trains on iris" test_genann_trains_on_iris;
         case "wasm bit-identical training" test_genann_wasm_bit_identical;
-        case "three tiers bit-identical" test_genann_tiers_bit_identical;
+        case "two tiers bit-identical" test_genann_tiers_bit_identical;
       ] );
     ( "workloads.iris",
       [
