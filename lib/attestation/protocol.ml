@@ -141,9 +141,10 @@ module Attester = struct
       Table III). *)
   let create ?(trace = T.null) ?(sid = T.no_session) ~random ~expected_verifier () =
     let meter = fresh_meter () in
-    (* The verifier identity outlives sessions; make sure its window
-       table is built once, not inside each msg1 appraisal. *)
-    C.P256.prepare expected_verifier;
+    (* The verifier identity outlives sessions and is the one key every
+       msg1 signature is checked against: build its comb once, so each
+       appraisal walks it instead of a doubling ladder. *)
+    C.P256.prepare_comb expected_verifier;
     let keys =
       tspan trace sid "crypto.ecdh_keygen" (fun () ->
           timed meter Keygen (fun () -> C.Ecdh.generate ~random))

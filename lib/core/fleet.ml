@@ -180,12 +180,19 @@ let shard_config config k =
     observed. *)
 type event = { shard : int; ev : Storm.session_event }
 
-(** [Gc.counters] deltas across one shard's (timed) run phase, taken
-    inside the shard's own domain — allocation pressure per shard,
-    reported alongside the wall-clock split so the bench can print
-    words-per-session. [Gc.counters] is per-domain; [Gc.quick_stat]
+(** GC deltas across one shard's (timed) run phase, taken inside the
+    shard's own domain — allocation pressure per shard, reported
+    alongside the wall-clock split so the bench can print
+    words-per-session. Both sources are per-domain; [Gc.quick_stat]
     would also count every other shard running at the same time. *)
 type gc_delta = { minor_words : float; major_words : float; promoted_words : float }
+
+(* Minor words come from [Gc.minor_words]: on OCaml 5.1 the minor figure
+   of [Gc.counters] can be off by up to a whole minor heap, which is as
+   much as a shard's 8 sessions allocate. *)
+let gc_counters () =
+  let _, promoted, major = Gc.counters () in
+  (Gc.minor_words (), promoted, major)
 
 type report = {
   shards : int;
@@ -322,9 +329,9 @@ let run ?(config = default_config) () =
             match prep with
             | Error e -> raise e
             | Ok prep ->
-              let minor0, promoted0, major0 = Gc.counters () in
+              let minor0, promoted0, major0 = gc_counters () in
               let report = Storm.run_prepared prep in
-              let minor1, promoted1, major1 = Gc.counters () in
+              let minor1, promoted1, major1 = gc_counters () in
               flush ();
               let gc =
                 {

@@ -183,21 +183,23 @@ let div_mod a b =
 
 let mod_ a b = snd (div_mod a b)
 
+(* Bytes straight into limbs, least significant byte first. *)
 let of_bytes_be s =
   let n = String.length s in
-  let acc = ref zero in
-  (* Consume three bytes (24 bits) at a time to limit allocations. *)
-  let i = ref 0 in
-  while !i < n do
-    let chunk = min 3 (n - !i) in
-    let v = ref 0 in
-    for j = 0 to chunk - 1 do
-      v := (!v lsl 8) lor Char.code s.[!i + j]
-    done;
-    acc := add (shift_left !acc (8 * chunk)) (of_int !v);
-    i := !i + chunk
+  let out = Array.make (((8 * n) + limb_bits - 1) / limb_bits) 0 in
+  let acc = ref 0 and bits = ref 0 and li = ref 0 in
+  for i = n - 1 downto 0 do
+    acc := !acc lor (Char.code (String.unsafe_get s i) lsl !bits);
+    bits := !bits + 8;
+    if !bits >= limb_bits then begin
+      out.(!li) <- !acc land limb_mask;
+      incr li;
+      acc := !acc lsr limb_bits;
+      bits := !bits - limb_bits
+    end
   done;
-  !acc
+  if !bits > 0 then out.(!li) <- !acc;
+  normalize out
 
 let to_bytes_be ~len a =
   if bit_length a > 8 * len then invalid_arg "Bn.to_bytes_be: value too large";

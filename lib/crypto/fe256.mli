@@ -1,14 +1,21 @@
 (** Montgomery arithmetic for 256-bit prime rings.
 
     The fast-path replacement for {!Modring} in the P-256 hot loops:
-    9 limbs of 29 bits in native ints, CIOS Montgomery products, and
-    Fermat inversion. One {!ring} instance each backs the P-256 field
-    (mod p) and scalar ring (mod n).
+    9 limbs of 29 bits in native ints, straight-line separated-operand
+    Montgomery products with a dedicated squaring, and Fermat inversion.
+    One {!ring} instance each backs the P-256 field (mod p, with a
+    reduction and an addition-chain inversion specialised to p) and the
+    scalar ring (mod n, with a 4-bit window inversion).
 
     Elements are tied to the ring they were created with; mixing rings
     is a caller bug and silently computes garbage. All values stay
     fully reduced, so {!equal}/{!is_zero} are plain representation
-    comparisons. *)
+    comparisons.
+
+    The [_into] operations write their result into a caller-owned
+    element and allocate nothing; the destination may alias either or
+    both operands. The plain operations are wrappers that allocate only
+    their result. *)
 
 type t
 (** A ring element, internally in Montgomery form. *)
@@ -31,15 +38,23 @@ val to_bn : ring -> t -> Bn.t
 
 val add : ring -> t -> t -> t
 val sub : ring -> t -> t -> t
-val neg : ring -> t -> t
 val mul : ring -> t -> t -> t
 val sqr : ring -> t -> t
+
+val add_into : ring -> t -> t -> t -> unit
+(** [add_into r dst a b] sets [dst] to [a + b]. *)
+
+val sub_into : ring -> t -> t -> t -> unit
+val mul_into : ring -> t -> t -> t -> unit
+val sqr_into : ring -> t -> t -> unit
+(** [sqr_into r dst a] sets [dst] to [a * a]. *)
+
+val copy_into : t -> t -> unit
+(** [copy_into dst a] overwrites [dst] with [a]. *)
 
 val inv : ring -> t -> t
 (** Fermat inversion [a^(m-2)]; requires a prime modulus. [inv zero]
     returns zero. *)
-
-val pow : ring -> t -> Bn.t -> t
 
 val equal : t -> t -> bool
 val is_zero : t -> bool

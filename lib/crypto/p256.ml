@@ -6,15 +6,15 @@
    (base_mul is 64 mixed adds and no doublings), and Shamir's trick for
    the u1*G + u2*Q shape of ECDSA verification. Points carry a
    memoized affine window table so long-lived keys (verifier identity,
-   endorsed attestation keys) pay table setup once across sessions. *)
+   endorsed attestation keys) pay table setup once across sessions.
+   Every ladder doubles and adds in place into one mutable accumulator
+   allocated per call; points themselves are never mutated. *)
 
 let p = Bn.of_hex "ffffffff00000001000000000000000000000000ffffffffffffffffffffffff"
 let n = Bn.of_hex "ffffffff00000000ffffffffffffffffbce6faada7179e84f3b9cac2fc632551"
 let b_coeff = Bn.of_hex "5ac635d8aa3a93e7b3ebbd55769886bc651d06b0cc53b0f63bce3c3e27d2604b"
 let gx = Bn.of_hex "6b17d1f2e12c4247f8bce6e563a440f277037d812deb33a0f4a13945d898c296"
 let gy = Bn.of_hex "4fe342e2fe1a7f9b8ee7eb4a7c0f9e162bce33576b315ececbb6406837bf51f5"
-let field = Modring.create p
-let order = Modring.create n
 let field_ring = Fe256.create p
 let scalar_ring = Fe256.create n
 
@@ -22,31 +22,32 @@ module Fe = Fe256
 
 let fp = field_ring
 let fadd = Fe.add fp
-let fsub = Fe.sub fp
 let fmul = Fe.mul fp
 let fsqr = Fe.sqr fp
-
+let fe_one = Fe.one fp
+let fe_zero = Fe.zero fp
 let fe_a = Fe.of_bn fp (Bn.sub p (Bn.of_int 3)) (* a = -3 mod p *)
 let fe_b = Fe.of_bn fp b_coeff
 
-(* An affine point in Montgomery form; never the point at infinity. *)
-type affine = { ax : Fe.t; ay : Fe.t }
+(* Affine multiples of a point in Montgomery form, as parallel
+   coordinate arrays; no entry is the point at infinity. Entry d - 1 of
+   a window table is dP; entry 15j + d - 1 of a comb is d * 16^j * P. *)
+type table = { tx : Fe.t array; ty : Fe.t array }
 
 (* Jacobian coordinates: (X, Y, Z) represents (X/Z^2, Y/Z^3); Z = 0 is
-   the point at infinity. [memo] caches the [1..15]P affine window
-   table for this exact point value; [enc] caches the uncompressed
-   SEC 1 encoding (each fresh encode costs a field inversion, and
-   session keys are encoded several times per protocol run). *)
+   the point at infinity. [memo] caches the [1..15]P window table for
+   this exact point value, [comb_memo] its comb (built on demand for
+   keys that verify many signatures, see {!prepare_comb}); [enc]
+   caches the uncompressed SEC 1 encoding (each fresh encode costs a
+   field inversion, and session keys are encoded several times per
+   protocol run). *)
 type point = {
   x : Fe.t;
   y : Fe.t;
   z : Fe.t;
-  mutable memo : affine array option;
+  mutable memo : table option;
   mutable enc : string option;
-  mutable comb_memo : affine array array option;
-      (* per-point comb (same shape as the generator's): position j
-         holds [1..15] * 16^j * P, affine — built on demand for keys
-         that verify many signatures (see {!prepare_comb}). *)
+  mutable comb_memo : table option;
 }
 
 let jac x y z = { x; y; z; memo = None; enc = None; comb_memo = None }
@@ -68,126 +69,234 @@ let of_affine x y =
 
 let base = jac (Fe.of_bn fp gx) (Fe.of_bn fp gy) (Fe.one fp)
 
-let to_affine_fe pt =
+let to_affine pt =
   if is_infinity pt then None
-  else if Fe.equal pt.z (Fe.one fp) then Some { ax = pt.x; ay = pt.y }
+  else if Fe.equal pt.z fe_one then Some (Fe.to_bn fp pt.x, Fe.to_bn fp pt.y)
   else begin
     let zinv = Fe.inv fp pt.z in
     let zinv2 = fsqr zinv in
-    Some { ax = fmul pt.x zinv2; ay = fmul pt.y (fmul zinv2 zinv) }
+    let ax = fmul pt.x zinv2 in
+    Fe.mul_into fp zinv2 zinv2 zinv;
+    Some (Fe.to_bn fp ax, Fe.to_bn fp (fmul pt.y zinv2))
   end
 
-let to_affine pt =
-  match to_affine_fe pt with
-  | None -> None
-  | Some a -> Some (Fe.to_bn fp a.ax, Fe.to_bn fp a.ay)
+(* A mutable Jacobian point with private temporaries. Each scalar
+   multiplication allocates one, doubles and adds into it in place, and
+   copies an immutable {!point} out at the end, so no two domains ever
+   share one. *)
+type acc = {
+  jx : Fe.t;
+  jy : Fe.t;
+  jz : Fe.t;
+  t0 : Fe.t;
+  t1 : Fe.t;
+  t2 : Fe.t;
+  t3 : Fe.t;
+  t4 : Fe.t;
+  t5 : Fe.t;
+}
+
+let mul_ d a b = Fe.mul_into fp d a b
+let sqr_ d a = Fe.sqr_into fp d a
+let add_ d a b = Fe.add_into fp d a b
+let sub_ d a b = Fe.sub_into fp d a b
+
+let acc_create () =
+  let f () = Fe.zero fp in
+  let jx = Fe.one fp and jy = Fe.one fp in
+  { jx; jy; jz = f (); t0 = f (); t1 = f (); t2 = f (); t3 = f (); t4 = f (); t5 = f () }
+
+let acc_is_infinity a = Fe.is_zero a.jz
+
+let acc_load a x y z =
+  Fe.copy_into a.jx x;
+  Fe.copy_into a.jy y;
+  Fe.copy_into a.jz z
+
+let acc_set_infinity a = acc_load a fe_one fe_one fe_zero
+
+let to_point a =
+  if acc_is_infinity a then infinity else jac (Fe.copy a.jx) (Fe.copy a.jy) (Fe.copy a.jz)
 
 (* dbl-2001-b: Jacobian doubling for a = -3; small-constant products
    are addition chains (3M + 5S, no generic constant muls). *)
-let double pt =
-  if is_infinity pt || Fe.is_zero pt.y then infinity
+let acc_double a =
+  if acc_is_infinity a || Fe.is_zero a.jy then acc_set_infinity a
   else begin
-    let delta = fsqr pt.z in
-    let gamma = fsqr pt.y in
-    let beta = fmul pt.x gamma in
-    let t = fmul (fsub pt.x delta) (fadd pt.x delta) in
-    let alpha = fadd (fadd t t) t in
-    let beta2 = fadd beta beta in
-    let beta4 = fadd beta2 beta2 in
-    let x3 = fsub (fsqr alpha) (fadd beta4 beta4) in
-    let z3 = fsub (fsqr (fadd pt.y pt.z)) (fadd gamma delta) in
-    let g2 = fsqr gamma in
-    let g4 = fadd g2 g2 in
-    let g8 = fadd g4 g4 in
-    let y3 = fsub (fmul alpha (fsub beta4 x3)) (fadd g8 g8) in
-    jac x3 y3 z3
-  end
-
-(* add-2007-bl, with the equal/opposite special cases dispatched. *)
-let add p1 p2 =
-  if is_infinity p1 then p2
-  else if is_infinity p2 then p1
-  else begin
-    let z1z1 = fsqr p1.z in
-    let z2z2 = fsqr p2.z in
-    let u1 = fmul p1.x z2z2 in
-    let u2 = fmul p2.x z1z1 in
-    let s1 = fmul p1.y (fmul z2z2 p2.z) in
-    let s2 = fmul p2.y (fmul z1z1 p1.z) in
-    if Fe.equal u1 u2 then if Fe.equal s1 s2 then double p1 else infinity
-    else begin
-      let h = fsub u2 u1 in
-      let h2 = fadd h h in
-      let i = fsqr h2 in
-      let j = fmul h i in
-      let sd = fsub s2 s1 in
-      let r = fadd sd sd in
-      let v = fmul u1 i in
-      let x3 = fsub (fsub (fsqr r) j) (fadd v v) in
-      let s1j = fmul s1 j in
-      let y3 = fsub (fmul r (fsub v x3)) (fadd s1j s1j) in
-      let z3 = fmul h (fsub (fsqr (fadd p1.z p2.z)) (fadd z1z1 z2z2)) in
-      jac x3 y3 z3
-    end
+    let x = a.jx and y = a.jy and z = a.jz in
+    let delta = a.t0 and gamma = a.t1 and beta = a.t2 and alpha = a.t3 and t = a.t4 in
+    sqr_ delta z;
+    sqr_ gamma y;
+    mul_ beta x gamma;
+    sub_ alpha x delta;
+    add_ t x delta;
+    mul_ alpha alpha t;
+    add_ t alpha alpha;
+    add_ alpha t alpha (* alpha = 3 (X - delta) (X + delta) *);
+    add_ z y z;
+    sqr_ z z;
+    sub_ z z gamma;
+    sub_ z z delta (* Z3 = (Y + Z)^2 - gamma - delta *);
+    add_ beta beta beta;
+    add_ beta beta beta (* 4 beta *);
+    sqr_ x alpha;
+    sub_ x x beta;
+    sub_ x x beta (* X3 = alpha^2 - 8 beta *);
+    sub_ beta beta x;
+    mul_ beta alpha beta;
+    sqr_ gamma gamma;
+    add_ gamma gamma gamma;
+    add_ gamma gamma gamma;
+    add_ gamma gamma gamma;
+    sub_ y beta gamma (* Y3 = alpha (4 beta - X3) - 8 gamma^2 *)
   end
 
 (* Mixed addition (madd-2007-bl): the second operand is affine (Z = 1),
    saving ~5 field products over the general add. *)
-let add_affine p1 a =
-  if is_infinity p1 then jac a.ax a.ay (Fe.one fp)
+let acc_add_affine a qx qy =
+  if acc_is_infinity a then acc_load a qx qy fe_one
   else begin
-    let z1z1 = fsqr p1.z in
-    let u2 = fmul a.ax z1z1 in
-    let s2 = fmul a.ay (fmul p1.z z1z1) in
-    if Fe.equal p1.x u2 then
-      if Fe.equal p1.y s2 then double p1 else infinity
+    let x = a.jx and y = a.jy and z = a.jz in
+    let z1z1 = a.t0 and h = a.t1 and r = a.t2 and hh = a.t3 and i = a.t4 and j = a.t5 in
+    sqr_ z1z1 z;
+    mul_ h qx z1z1 (* u2 *);
+    mul_ r z z1z1;
+    mul_ r qy r (* s2 *);
+    if Fe.equal x h then if Fe.equal y r then acc_double a else acc_set_infinity a
     else begin
-      let h = fsub u2 p1.x in
-      let hh = fsqr h in
-      let hh2 = fadd hh hh in
-      let i = fadd hh2 hh2 in
-      let j = fmul h i in
-      let sd = fsub s2 p1.y in
-      let r = fadd sd sd in
-      let v = fmul p1.x i in
-      let x3 = fsub (fsub (fsqr r) j) (fadd v v) in
-      let yj = fmul p1.y j in
-      let y3 = fsub (fmul r (fsub v x3)) (fadd yj yj) in
-      let z3 = fsub (fsqr (fadd p1.z h)) (fadd z1z1 hh) in
-      jac x3 y3 z3
+      sub_ h h x (* h = u2 - X1 *);
+      sqr_ hh h;
+      add_ z z h;
+      sqr_ z z;
+      sub_ z z z1z1;
+      sub_ z z hh (* Z3 = (Z1 + h)^2 - z1z1 - hh *);
+      add_ i hh hh;
+      add_ i i i (* i = 4 hh *);
+      mul_ j h i;
+      sub_ r r y;
+      add_ r r r (* r = 2 (s2 - Y1) *);
+      mul_ i x i (* v = X1 i *);
+      let yj = z1z1 in
+      mul_ yj y j;
+      sqr_ x r;
+      sub_ x x j;
+      sub_ x x i;
+      sub_ x x i (* X3 = r^2 - j - 2 v *);
+      sub_ i i x;
+      mul_ i r i;
+      sub_ y i yj;
+      sub_ y y yj (* Y3 = r (v - X3) - 2 Y1 j *)
     end
   end
 
-(* Montgomery's batch-inversion trick: one field inversion for a whole
-   table of Jacobian points (none may be infinity). *)
-let batch_to_affine pts =
-  let k = Array.length pts in
-  let prefix = Array.make k (Fe.one fp) in
-  let acc = ref (Fe.one fp) in
-  for i = 0 to k - 1 do
-    prefix.(i) <- !acc;
-    acc := fmul !acc pts.(i).z
-  done;
-  let inv = ref (Fe.inv fp !acc) in
-  let out = Array.make k { ax = Fe.zero fp; ay = Fe.zero fp } in
-  for i = k - 1 downto 0 do
-    let zinv = fmul !inv prefix.(i) in
-    inv := fmul !inv pts.(i).z;
-    let zinv2 = fsqr zinv in
-    out.(i) <- { ax = fmul pts.(i).x zinv2; ay = fmul pts.(i).y (fmul zinv2 zinv) }
-  done;
-  out
+(* add-2007-bl, with the equal/opposite special cases dispatched; an
+   affine operand takes the mixed formula. *)
+let acc_add a p2 =
+  if is_infinity p2 then ()
+  else if Fe.equal p2.z fe_one then acc_add_affine a p2.x p2.y
+  else if acc_is_infinity a then acc_load a p2.x p2.y p2.z
+  else begin
+    let x = a.jx and y = a.jy and z = a.jz in
+    let z1z1 = a.t0 and z2z2 = a.t1 and u1 = a.t2 and h = a.t3 and s1 = a.t4 and r = a.t5 in
+    sqr_ z1z1 z;
+    sqr_ z2z2 p2.z;
+    mul_ u1 x z2z2;
+    mul_ h p2.x z1z1 (* u2 *);
+    mul_ s1 z2z2 p2.z;
+    mul_ s1 y s1;
+    mul_ r z1z1 z;
+    mul_ r p2.y r (* s2 *);
+    if Fe.equal u1 h then if Fe.equal s1 r then acc_double a else acc_set_infinity a
+    else begin
+      sub_ h h u1 (* h = u2 - u1 *);
+      add_ z z p2.z;
+      sqr_ z z;
+      sub_ z z z1z1;
+      sub_ z z z2z2;
+      mul_ z z h (* Z3 = ((Z1 + Z2)^2 - z1z1 - z2z2) h *);
+      let i = z1z1 and j = z2z2 in
+      add_ i h h;
+      sqr_ i i (* i = (2 h)^2 *);
+      mul_ j h i;
+      sub_ r r s1;
+      add_ r r r (* r = 2 (s2 - s1) *);
+      mul_ u1 u1 i (* v = u1 i *);
+      mul_ s1 s1 j;
+      sqr_ x r;
+      sub_ x x j;
+      sub_ x x u1;
+      sub_ x x u1 (* X3 = r^2 - j - 2 v *);
+      sub_ u1 u1 x;
+      mul_ u1 r u1;
+      sub_ y u1 s1;
+      sub_ y y s1 (* Y3 = r (v - X3) - 2 s1 j *)
+    end
+  end
 
-(* The [1..15]P affine window table, memoized on the point. *)
-let window_table pt =
+let acc_of pt =
+  let a = acc_create () in
+  acc_load a pt.x pt.y pt.z;
+  a
+
+let double pt =
+  let a = acc_of pt in
+  acc_double a;
+  to_point a
+
+let add p1 p2 =
+  let a = acc_of p1 in
+  acc_add a p2;
+  to_point a
+
+(* Montgomery's batch-inversion trick: one field inversion normalises
+   a run of Jacobian coordinates in place (no z may be zero). xs and ys
+   become the affine coordinates; zs is left as scratch. *)
+let batch_to_affine xs ys zs =
+  let k = Array.length zs in
+  let prefix = Array.make k fe_zero in
+  let acc = Fe.one fp in
+  for i = 0 to k - 1 do
+    prefix.(i) <- Fe.copy acc;
+    mul_ acc acc zs.(i)
+  done;
+  let inv = Fe.inv fp acc in
+  let zinv = acc and zinv2 = Fe.zero fp in
+  for i = k - 1 downto 0 do
+    mul_ zinv inv prefix.(i);
+    mul_ inv inv zs.(i);
+    sqr_ zinv2 zinv;
+    mul_ xs.(i) xs.(i) zinv2;
+    mul_ zinv2 zinv2 zinv;
+    mul_ ys.(i) ys.(i) zinv2
+  done
+
+(* The multiples d * 16^j * pt for d = 1..15 and j < rows, stepped
+   through on the accumulator [a] and normalised with one batch
+   inversion. All scalars d * 16^j stay below n (15 * 16^63 < n), so no
+   entry is infinity. *)
+let multiples a pt rows =
+  let k = 15 * rows in
+  let tx = Array.make k fe_zero and ty = Array.make k fe_zero and zs = Array.make k fe_zero in
+  acc_load a pt.x pt.y pt.z;
+  let step = ref pt in
+  for e = 0 to k - 1 do
+    if e > 0 then acc_add a !step;
+    if e > 0 && e mod 15 = 0 then step := to_point a (* next row: 16 * step *);
+    tx.(e) <- Fe.copy a.jx;
+    ty.(e) <- Fe.copy a.jy;
+    zs.(e) <- Fe.copy a.jz
+  done;
+  batch_to_affine tx ty zs;
+  { tx; ty }
+
+(* The [1..15]P window table, memoized on the point; built on [acc]
+   when the caller has one to lend. *)
+let window_table ?acc pt =
   match pt.memo with
   | Some tbl -> tbl
   | None ->
-      let jtbl = Array.make 15 pt in
-      for d = 1 to 14 do
-        jtbl.(d) <- add jtbl.(d - 1) pt
-      done;
-      let tbl = batch_to_affine jtbl in
+      let a = match acc with Some a -> a | None -> acc_create () in
+      let tbl = multiples a pt 1 in
       pt.memo <- Some tbl;
       tbl
 
@@ -200,28 +309,34 @@ let nibble s i =
   let b = Char.code (String.unsafe_get s (i lsr 1)) in
   if i land 1 = 0 then b lsr 4 else b land 0xf
 
+let add_entry a tbl e = acc_add_affine a tbl.tx.(e) tbl.ty.(e)
+
+let double4 a =
+  if not (acc_is_infinity a) then begin
+    acc_double a;
+    acc_double a;
+    acc_double a;
+    acc_double a
+  end
+
 let mul k pt =
   if is_infinity pt then infinity
   else begin
     let s = scalar_nibbles k in
-    let tbl = window_table pt in
-    let acc = ref infinity in
+    let a = acc_create () in
+    let tbl = window_table ~acc:a pt in
+    acc_set_infinity a;
     for i = 0 to 63 do
-      if not (is_infinity !acc) then begin
-        acc := double !acc;
-        acc := double !acc;
-        acc := double !acc;
-        acc := double !acc
-      end;
+      double4 a;
       let d = nibble s i in
-      if d > 0 then acc := add_affine !acc tbl.(d - 1)
+      if d > 0 then add_entry a tbl (d - 1)
     done;
-    !acc
+    to_point a
   end
 
-(* Fixed-base comb: position j holds [1..15] * 16^j * G, affine. Built
-   lazily (one-time ~5 ms) and batch-inverted in a single pass; after
-   that base_mul is at most 64 mixed additions and zero doublings.
+(* Fixed-base comb for G. Built lazily (one-time) and batch-inverted
+   in a single pass; after that base_mul is at most 64 mixed additions
+   and zero doublings.
 
    The cell is [Atomic] because the comb is the one lazy table shared
    by every fleet domain: the atomic store publishes the fully-built
@@ -235,79 +350,32 @@ let get_comb () =
   match Atomic.get comb with
   | Some c -> c
   | None ->
-      let jrows = Array.make 64 [||] in
-      let pj = ref base in
-      for j = 0 to 63 do
-        let row = Array.make 15 !pj in
-        for d = 1 to 14 do
-          row.(d) <- add row.(d - 1) !pj
-        done;
-        jrows.(j) <- row;
-        if j < 63 then pj := double (double (double (double !pj)))
-      done;
-      let flat = Array.concat (Array.to_list jrows) in
-      let affine = batch_to_affine flat in
-      let c = Array.init 64 (fun j -> Array.sub affine (j * 15) 15) in
+      let c = multiples (acc_create ()) base 64 in
       Atomic.set comb (Some c);
       c
 
-let base_mul k =
-  let s = scalar_nibbles k in
-  let c = get_comb () in
-  let acc = ref infinity in
+(* Add the comb entry for every nibble of s into a: no doublings. *)
+let comb_walk a c s =
   for i = 0 to 63 do
     let d = nibble s i in
     (* nibble index i has significance 63 - i *)
-    if d > 0 then acc := add_affine !acc c.(63 - i).(d - 1)
-  done;
-  !acc
+    if d > 0 then add_entry a c ((15 * (63 - i)) + d - 1)
+  done
 
-(* Shamir/Straus interleaving for u1*G + u2*Q: one shared doubling
-   ladder, window adds from the generator comb's position-0 table and
-   from Q's memoized table. This is the ECDSA-verify workhorse. *)
-let double_mul u1 u2 q =
-  let s1 = scalar_nibbles u1 in
-  let s2 = scalar_nibbles u2 in
-  let gtbl = (get_comb ()).(0) in
-  let qtbl = if is_infinity q then [||] else window_table q in
-  let acc = ref infinity in
-  for i = 0 to 63 do
-    if not (is_infinity !acc) then begin
-      acc := double !acc;
-      acc := double !acc;
-      acc := double !acc;
-      acc := double !acc
-    end;
-    let d1 = nibble s1 i in
-    if d1 > 0 then acc := add_affine !acc gtbl.(d1 - 1);
-    let d2 = nibble s2 i in
-    if d2 > 0 && Array.length qtbl > 0 then acc := add_affine !acc qtbl.(d2 - 1)
-  done;
-  !acc
+let base_mul k =
+  let a = acc_create () in
+  comb_walk a (get_comb ()) (scalar_nibbles k);
+  to_point a
 
 (* The per-point comb, memoized like the window table but covering all
-   64 nibble positions: [1..15] * 16^j * P for j = 0..63, affine. All
-   scalars d * 16^j stay below n (15 * 16^63 < n), so no row entry is
-   ever infinity and the single batch inversion is safe. Costs roughly
-   three double_mul calls to build; every comb-based double-scalar
-   multiplication after that drops all 252 ladder doublings. *)
+   64 nibble positions. Costs roughly three Shamir ladders to build;
+   every double-scalar multiplication after that drops all 252 ladder
+   doublings. *)
 let point_comb pt =
   match pt.comb_memo with
   | Some c -> c
   | None ->
-      let jrows = Array.make 64 [||] in
-      let pj = ref pt in
-      for j = 0 to 63 do
-        let row = Array.make 15 !pj in
-        for d = 1 to 14 do
-          row.(d) <- add row.(d - 1) !pj
-        done;
-        jrows.(j) <- row;
-        if j < 63 then pj := double (double (double (double !pj)))
-      done;
-      let flat = Array.concat (Array.to_list jrows) in
-      let affine = batch_to_affine flat in
-      let c = Array.init 64 (fun j -> Array.sub affine (j * 15) 15) in
+      let c = multiples (acc_create ()) pt 64 in
       pt.comb_memo <- Some c;
       c
 
@@ -317,42 +385,58 @@ let prepare_comb pt = if not (is_infinity pt) then ignore (point_comb pt)
    additions and zero doublings. Needs Q's comb (built on first use);
    profitable once a key verifies more than a couple of signatures. *)
 let comb_double_mul u1 u2 q =
-  let s1 = scalar_nibbles u1 in
-  let s2 = scalar_nibbles u2 in
-  let gc = get_comb () in
-  let qc = point_comb q in
-  let acc = ref infinity in
-  for i = 0 to 63 do
-    let d1 = nibble s1 i in
-    if d1 > 0 then acc := add_affine !acc gc.(63 - i).(d1 - 1);
-    let d2 = nibble s2 i in
-    if d2 > 0 then acc := add_affine !acc qc.(63 - i).(d2 - 1)
-  done;
-  !acc
+  let a = acc_create () in
+  comb_walk a (get_comb ()) (scalar_nibbles u1);
+  comb_walk a (point_comb q) (scalar_nibbles u2);
+  to_point a
+
+(* u1*G + u2*Q, the ECDSA-verify workhorse. A key with a memoized comb
+   walks it; otherwise Shamir/Straus interleaving runs one shared
+   doubling ladder with window adds from the generator comb's first
+   row and from Q's window table. *)
+let double_mul u1 u2 q =
+  if Option.is_some q.comb_memo then comb_double_mul u1 u2 q
+  else begin
+    let s1 = scalar_nibbles u1 in
+    let s2 = scalar_nibbles u2 in
+    let gc = get_comb () in
+    let a = acc_create () in
+    let qtbl = if is_infinity q then None else Some (window_table ~acc:a q) in
+    acc_set_infinity a;
+    for i = 0 to 63 do
+      double4 a;
+      let d1 = nibble s1 i in
+      if d1 > 0 then add_entry a gc (d1 - 1);
+      let d2 = nibble s2 i in
+      match qtbl with Some t when d2 > 0 -> add_entry a t (d2 - 1) | _ -> ()
+    done;
+    to_point a
+  end
 
 (* Batched ECDSA-verify shape: every entry computed doubling-free on
    the combs, then one shared Montgomery batch inversion normalises all
    finite results (amortising the one field inversion a per-signature
    to_affine would pay each). Entries yielding infinity map to None. *)
 let double_mul_batch entries =
-  let k = Array.length entries in
   let results =
     Array.map
       (fun (u1, u2, q) -> if is_infinity q then double_mul u1 u2 q else comb_double_mul u1 u2 q)
       entries
   in
-  let finite = Array.of_list (List.filter (fun p -> not (is_infinity p)) (Array.to_list results)) in
-  let affines = batch_to_affine finite in
-  let out = Array.make k None in
+  let finite = List.filter (fun p -> not (is_infinity p)) (Array.to_list results) in
+  let coords f = Array.of_list (List.map (fun p -> Fe.copy (f p)) finite) in
+  let tx = coords (fun p -> p.x) and ty = coords (fun p -> p.y) in
+  batch_to_affine tx ty (coords (fun p -> p.z));
   let j = ref 0 in
-  for i = 0 to k - 1 do
-    if not (is_infinity results.(i)) then begin
-      let a = affines.(!j) in
-      incr j;
-      out.(i) <- Some (Fe.to_bn fp a.ax, Fe.to_bn fp a.ay)
-    end
-  done;
-  out
+  Array.map
+    (fun p ->
+      if is_infinity p then None
+      else begin
+        let e = !j in
+        incr j;
+        Some (Fe.to_bn fp tx.(e), Fe.to_bn fp ty.(e))
+      end)
+    results
 
 (* Cross-multiplied comparison: x1*z2^2 = x2*z1^2 (and same for y with
    cubes) avoids any inversion. *)

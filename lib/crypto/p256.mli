@@ -5,6 +5,8 @@
     computed in Jacobian coordinates over the {!Fe256} Montgomery
     field, with 4-bit windowed scalar multiplication, a fixed-base comb
     for the generator, and Shamir's trick for the ECDSA-verify shape.
+    Every ladder doubles and adds in place into one mutable accumulator
+    allocated per call, then returns a fresh immutable point.
 
     Caution: like the rest of this simulation's crypto, the scalar
     ladders here are *not* constant-time (window digits index tables,
@@ -14,12 +16,6 @@ type point
 (** A point on the curve, including the point at infinity. Points carry
     a memoized window table (see {!prepare}); the table is part of the
     cache, not the value — {!equal} ignores it. *)
-
-val field : Modring.t
-(** The prime field F{_p} (generic-ring view, kept for tests/tools). *)
-
-val order : Modring.t
-(** The (prime) group order ring F{_n} (generic-ring view). *)
 
 val field_ring : Fe256.ring
 (** Montgomery ring for F{_p} — the fast path used by the point ops. *)
@@ -52,8 +48,11 @@ val base_mul : Bn.t -> point
 (** [k]G via the fixed-base comb: at most 64 mixed additions. *)
 
 val double_mul : Bn.t -> Bn.t -> point -> point
-(** [double_mul u1 u2 q] is [u1]G + [u2]Q on a shared doubling ladder
-    (Shamir's trick) — the ECDSA verification inner loop. *)
+(** [double_mul u1 u2 q] is [u1]G + [u2]Q — the ECDSA verification
+    inner loop. Walks Q's comb when one is memoized (see
+    {!prepare_comb}): at most 128 mixed additions and no doublings.
+    Otherwise runs a shared doubling ladder (Shamir's trick) over Q's
+    window table. *)
 
 val double_mul_batch : (Bn.t * Bn.t * point) array -> (Bn.t * Bn.t) option array
 (** [double_mul_batch [| (u1, u2, q); ... |]] computes every
@@ -66,9 +65,10 @@ val double_mul_batch : (Bn.t * Bn.t * point) array -> (Bn.t * Bn.t) option array
 
 val prepare_comb : point -> unit
 (** Precompute and memoize the point's full comb ([1..15] * 16^j * P
-    for every nibble position), the table behind {!double_mul_batch}:
-    ~64x the window table's size, pays for itself once the key verifies
-    more than a couple of signatures. Idempotent; a no-op on the point
+    for every nibble position), the table behind {!double_mul_batch}
+    and, once memoized, behind {!double_mul}: ~64x the window table's
+    size, pays for itself once the key verifies more than a couple of
+    signatures. Idempotent; a no-op on the point
     at infinity. The same single-domain ownership rule as {!prepare}
     applies — build the comb in the domain that uses it, or before
     spawning. *)

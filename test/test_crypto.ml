@@ -96,7 +96,7 @@ let modring_matches_divmod () =
   Alcotest.(check bool) "barrett = division" true (Bn.equal via_ring via_div)
 
 let modring_inverse () =
-  let ring = P256.order in
+  let ring = Modring.create P256.n in
   let a = Bn.of_hex "123456789" in
   let inv = Modring.inv_prime ring a in
   Alcotest.(check bool) "a * a^-1 = 1" true (Bn.equal Bn.one (Modring.mul ring a inv));
@@ -538,20 +538,101 @@ let qcheck_sha256_streaming_chunks =
       Sha256.update_substring ctx s !pos (String.length s - !pos);
       String.equal (Sha256.finalize ctx) (Sha256.digest s))
 
+(* The two Montgomery rings, each beside the generic Barrett ring over
+   the same modulus as its oracle. *)
+let fe_rings =
+  [
+    ("field", P256.field_ring, Modring.create (Fe256.modulus P256.field_ring));
+    ("scalar", P256.scalar_ring, Modring.create P256.n);
+  ]
+
+(* add/sub/mul/sqr/inv of the Montgomery ring agree with Modring on
+   (a, b), both given as integers. *)
+let fe256_agrees (fr, gr) a b =
+  let fa = Fe256.of_bn fr a and fb = Fe256.of_bn fr b in
+  let ga = Modring.reduce gr a and gb = Modring.reduce gr b in
+  let same f g = Bn.equal (Fe256.to_bn fr f) g in
+  same (Fe256.add fr fa fb) (Modring.add gr ga gb)
+  && same (Fe256.sub fr fa fb) (Modring.sub gr ga gb)
+  && same (Fe256.mul fr fa fb) (Modring.mul gr ga gb)
+  && same (Fe256.sqr fr fa) (Modring.sqr gr ga)
+  && if Bn.is_zero ga then Fe256.is_zero (Fe256.inv fr fa)
+     else same (Fe256.inv fr fa) (Modring.inv_prime gr ga)
+
 let qcheck_fe256_matches_modring =
-  (* The Montgomery field vs the generic Barrett ring, on the P-256
-     prime: add/sub/mul/inv agree for any inputs. *)
-  QCheck.Test.make ~name:"fe256: montgomery = modring on P-256 field" ~count:200
+  (* The Montgomery rings vs the generic Barrett ring, on the P-256
+     prime and group order: add/sub/mul/sqr/inv agree for any inputs. *)
+  QCheck.Test.make ~name:"fe256: montgomery = modring on both rings" ~count:200
     (QCheck.pair arbitrary_bn arbitrary_bn)
-    (fun (a, b) ->
-      let fr = P256.field_ring and gr = P256.field in
-      let fa = Fe256.of_bn fr a and fb = Fe256.of_bn fr b in
-      let ga = Modring.reduce gr a and gb = Modring.reduce gr b in
-      Bn.equal (Fe256.to_bn fr (Fe256.add fr fa fb)) (Modring.add gr ga gb)
-      && Bn.equal (Fe256.to_bn fr (Fe256.sub fr fa fb)) (Modring.sub gr ga gb)
-      && Bn.equal (Fe256.to_bn fr (Fe256.mul fr fa fb)) (Modring.mul gr ga gb)
-      && (Bn.is_zero ga
-         || Bn.equal (Fe256.to_bn fr (Fe256.inv fr fa)) (Modring.inv_prime gr ga)))
+    (fun (a, b) -> List.for_all (fun (_, fr, gr) -> fe256_agrees (fr, gr) a b) fe_rings)
+
+(* Operands at the edges of each ring: 0, 1, m-1, m-2, 2^232-1 and
+   2^256-1 as integers, and the elements whose Montgomery limbs are all
+   2^29-1 (limbs 0-7, with limb 8 at 0 or at its largest value below
+   m's top limb 2^24-1). *)
+let fe256_edge_operands (fr, gr) =
+  let m = Fe256.modulus fr in
+  let pow2 k = Bn.shift_left Bn.one k in
+  let ones = Bn.sub (pow2 232) Bn.one in
+  (* x * R^-1 mod m has Montgomery form x, with R = 2^261 *)
+  let r_inv = Modring.inv_prime gr (Modring.reduce gr (pow2 261)) in
+  let with_limbs x = Modring.mul gr (Modring.reduce gr x) r_inv in
+  [
+    Bn.zero;
+    Bn.one;
+    Bn.sub m Bn.one;
+    Bn.sub m (Bn.of_int 2);
+    ones;
+    Bn.sub (pow2 256) Bn.one;
+    with_limbs ones;
+    with_limbs (Bn.add ones (Bn.shift_left (Bn.of_int ((1 lsl 24) - 2)) 232));
+  ]
+
+let fe256_edge_cases () =
+  List.iter
+    (fun (name, fr, gr) ->
+      let edges = fe256_edge_operands (fr, gr) in
+      List.iter
+        (fun a ->
+          List.iter
+            (fun b ->
+              if not (fe256_agrees (fr, gr) a b) then
+                Alcotest.failf "%s ring: a = %s, b = %s" name (Bn.to_hex a) (Bn.to_hex b))
+            edges)
+        edges)
+    fe_rings
+
+(* Every [_into] op with its destination aliasing the first operand,
+   the second, and both, against the allocating op. *)
+let fe256_into_aliasing () =
+  let rng = Watz_util.Prng.create 0x1a5L in
+  List.iter
+    (fun (name, fr, _) ->
+      for _ = 1 to 50 do
+        let draw () = Fe256.of_bn fr (Bn.of_bytes_be (Watz_util.Prng.bytes rng 32)) in
+        let a = draw () and b = draw () in
+        let check op f_into f =
+          let expect_ab = f a b and expect_aa = f a a in
+          let d = Fe256.copy a in
+          f_into d d b;
+          let e = Fe256.copy b in
+          f_into e a e;
+          let both = Fe256.copy a in
+          f_into both both both;
+          if
+            not
+              (Fe256.equal d expect_ab && Fe256.equal e expect_ab && Fe256.equal both expect_aa)
+          then Alcotest.failf "%s ring: %s_into with an aliased destination" name op
+        in
+        check "mul" (Fe256.mul_into fr) (Fe256.mul fr);
+        check "add" (Fe256.add_into fr) (Fe256.add fr);
+        check "sub" (Fe256.sub_into fr) (Fe256.sub fr);
+        check "sqr" (fun d x _ -> Fe256.sqr_into fr d x) (fun x _ -> Fe256.sqr fr x);
+        let c = Fe256.zero fr in
+        Fe256.copy_into c a;
+        Alcotest.(check bool) "copy_into" true (Fe256.equal c a)
+      done)
+    fe_rings
 
 let affine_eq_ref p_new p_old =
   match (P256.to_affine p_new, Refcrypto.P256.to_affine p_old) with
@@ -618,6 +699,123 @@ let ecdsa_edge_cases () =
   (* The point at infinity is not a public key. *)
   Alcotest.(check bool) "infinity pubkey rejected" false
     (Ecdsa.verify_digest P256.infinity ~digest ~signature)
+
+(* Edge scalars through every ladder against the reference
+   double-and-add: mul (window ladder), base_mul (generator comb), and
+   double_mul on a window-only key (Shamir ladder) and on a
+   comb-prepared key (comb walk). Also sums whose additions meet equal
+   points (u1 = u2 with Q = G) and opposite ones (u2 = n - u1). *)
+let p256_ladder_edge_scalars () =
+  let n = P256.n in
+  let scalars =
+    List.map Bn.of_hex
+      [
+        "0";
+        "1";
+        "2";
+        "5" (* 63 leading zero nibbles *);
+        "ffffffffffffffffffffffffffffffff" (* 32 leading zero nibbles, then all 0xF *);
+        "fffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffff" (* 2^252 - 1 *);
+        "ffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffff" (* 2^256 - 1, above n *);
+        "8000000000000000000000000000000000000000000000000000000000000000";
+        "f0f0f0f0000000000fffffff0000000f0000000000000000ffffffffffffffff";
+      ]
+    @ [ Bn.sub n Bn.one; Bn.sub n (Bn.of_int 2) ]
+  in
+  let fresh pt = Option.get (P256.decode (P256.encode pt)) in
+  let q = P256.base_mul (Bn.of_int 7) in
+  let q_old = Refcrypto.P256.mul (Bn.of_int 7) Refcrypto.P256.base in
+  let q_window = fresh q and q_comb = fresh q in
+  P256.prepare q_window;
+  P256.prepare_comb q_comb;
+  let g_window = fresh P256.base and g_comb = fresh P256.base in
+  P256.prepare_comb g_comb;
+  let expect_double u1 u2 q_old =
+    Refcrypto.P256.add (Refcrypto.P256.base_mul u1) (Refcrypto.P256.mul u2 q_old)
+  in
+  let check what k ok = if not ok then Alcotest.failf "%s, k = %s" what (Bn.to_hex k) in
+  List.iter2
+    (fun k k' ->
+      let ref_kq = Refcrypto.P256.mul k q_old in
+      check "base_mul" k (affine_eq_ref (P256.base_mul k) (Refcrypto.P256.base_mul k));
+      check "mul on a fresh point" k (affine_eq_ref (P256.mul k (fresh q)) ref_kq);
+      check "mul on a prepared point" k (affine_eq_ref (P256.mul k q_window) ref_kq);
+      let expect = expect_double k' k q_old in
+      check "double_mul, window key" k (affine_eq_ref (P256.double_mul k' k q_window) expect);
+      check "double_mul, comb key" k (affine_eq_ref (P256.double_mul k' k q_comb) expect);
+      let doubled = Refcrypto.P256.base_mul (Bn.add k k) in
+      check "double_mul u u G, window" k (affine_eq_ref (P256.double_mul k k g_window) doubled);
+      check "double_mul u u G, comb" k (affine_eq_ref (P256.double_mul k k g_comb) doubled);
+      let opposite = Bn.mod_ (Bn.sub n (Bn.mod_ k n)) n in
+      check "double_mul u (n - u) G, window" k
+        (P256.is_infinity (P256.double_mul k opposite g_window));
+      check "double_mul u (n - u) G, comb" k
+        (P256.is_infinity (P256.double_mul k opposite g_comb)))
+    scalars (List.rev scalars)
+
+(* A comb-prepared key verifies through the comb walk, a window-only
+   key through the Shamir ladder: single verdicts must agree with each
+   other and with the reference on valid, corrupted and high-s
+   signatures. *)
+let ecdsa_comb_key_verdicts () =
+  let priv, pub = Ecdsa.keypair_of_seed "comb-key-verdicts" in
+  let copy () = Option.get (P256.decode (P256.encode pub)) in
+  let window = copy () and comb = copy () in
+  P256.prepare window;
+  P256.prepare_comb comb;
+  let pub_old = Option.get (Refcrypto.P256.of_bytes (P256.encode pub)) in
+  for i = 0 to 3 do
+    let digest = Sha256.digest (Printf.sprintf "comb verdict %d" i) in
+    let signature = Ecdsa.sign_digest priv digest in
+    let r = String.sub signature 0 32 and s = Bn.of_bytes_be (String.sub signature 32 32) in
+    let corrupted = Bytes.of_string signature in
+    Bytes.set corrupted (i * 17) (Char.chr (Char.code signature.[i * 17] lxor 0x01));
+    List.iter
+      (fun (what, expect, signature) ->
+        let verdict q = Ecdsa.verify_digest q ~digest ~signature in
+        Alcotest.(check bool) (what ^ ": reference") expect
+          (Refcrypto.Ecdsa.verify_digest pub_old ~digest ~signature);
+        Alcotest.(check bool) (what ^ ": window key") expect (verdict window);
+        Alcotest.(check bool) (what ^ ": comb key") expect (verdict comb))
+      [
+        ("valid", true, signature);
+        ("corrupted", false, Bytes.to_string corrupted);
+        ("high-s", true, r ^ Bn.to_bytes_be ~len:32 (Bn.sub P256.n s));
+      ]
+  done
+
+(* Allocation gates. The in-place field ops allocate nothing. An ECDH
+   agreement on a freshly decoded peer (its window table, the ladder,
+   the final inversion and the encoding of x) measured 1,063 minor
+   words; the bound leaves ~15% headroom. The rolled CIOS core and
+   functional ladders took ~154k. *)
+let p256_allocation_gates () =
+  let fr = P256.field_ring in
+  let a = Fe256.of_int fr 0x1234567 and b = Fe256.of_int fr 0x7654321 in
+  let d = Fe256.zero fr in
+  let words n f =
+    let w0 = Gc.minor_words () in
+    for _ = 1 to n do
+      f ()
+    done;
+    (Gc.minor_words () -. w0) /. float_of_int n
+  in
+  let zero name f = Alcotest.(check (float 0.0)) (name ^ " allocates nothing") 0.0 (words 1000 f) in
+  zero "mul_into" (fun () -> Fe256.mul_into fr d a b);
+  zero "sqr_into" (fun () -> Fe256.sqr_into fr d a);
+  zero "add_into" (fun () -> Fe256.add_into fr d a b);
+  zero "sub_into" (fun () -> Fe256.sub_into fr d a b);
+  let priv = Bn.of_bytes_be (Sha256.digest "ecdh allocation gate") in
+  let encoded = P256.encode (snd (Ecdsa.keypair_of_seed "ecdh allocation peer")) in
+  let peers = Array.init 16 (fun _ -> Option.get (P256.decode encoded)) in
+  let next = ref 0 in
+  let per_call =
+    words 16 (fun () ->
+        ignore (Ecdh.shared_secret ~priv ~peer:peers.(!next));
+        incr next)
+  in
+  if per_call > 1250.0 then
+    Alcotest.failf "Ecdh.shared_secret: %.0f minor words per call > 1250" per_call
 
 let qcheck_ghash_matches_ref =
   QCheck.Test.make ~name:"gcm: table-driven ghash = pre-PR bitwise ghash" ~count:100
@@ -747,6 +945,11 @@ let suite =
         q qcheck_p256_mul_matches_ref;
         q qcheck_ecdsa_sign_matches_ref;
         case "ecdsa edge cases" ecdsa_edge_cases;
+        case "fe256 edge operands, both rings" fe256_edge_cases;
+        case "fe256 _into with aliased destinations" fe256_into_aliasing;
+        case "p256 ladders on edge scalars" p256_ladder_edge_scalars;
+        case "ecdsa comb key = window key = reference" ecdsa_comb_key_verdicts;
+        case "p256 allocation gates" p256_allocation_gates;
         q qcheck_ghash_matches_ref;
         q qcheck_gcm_matches_ref;
         case "mac prepared = one-shot" mac_prepared_equivalence;
