@@ -189,6 +189,34 @@ let prepare ?(config = default_config) ?tracer ?(notify = fun (_ : session_event
     p_notify = notify;
   }
 
+(** The abort histogram of a storm report, most frequent reason first:
+    each aborted session counts under its typed error, each session the
+    hard stop cut off under "still pending at max_ticks". *)
+let tally_aborts outcomes =
+  let tbl = Hashtbl.create 8 in
+  let count k = Hashtbl.replace tbl k (1 + Option.value ~default:0 (Hashtbl.find_opt tbl k)) in
+  List.iter
+    (function
+      | `Done -> ()
+      | `Aborted e -> count (Format.asprintf "%a" P.pp_error e)
+      | `Pending -> count "still pending at max_ticks")
+    outcomes;
+  Hashtbl.fold (fun k v acc -> (k, v) :: acc) tbl [] |> List.sort (fun (_, a) (_, b) -> compare b a)
+
+(** Print [label: k=v k=v ...] on a new report line; nothing when empty. *)
+let pp_pairs ppf label = function
+  | [] -> ()
+  | l ->
+    Format.fprintf ppf "@\n  %s:" label;
+    List.iter (fun (k, v) -> Format.fprintf ppf " %s=%d" k v) l
+
+(** Print the abort histogram, one reason per line; nothing when empty. *)
+let pp_aborts ppf = function
+  | [] -> ()
+  | l ->
+    Format.fprintf ppf "@\n  aborts:";
+    List.iter (fun (k, v) -> Format.fprintf ppf "@\n    %3dx %s" v k) l
+
 (** Drive a prepared storm to completion. The whole schedule is a pure
     function of [config.seed]: a failing run replays exactly from its
     seed, in either sched mode. *)
@@ -292,22 +320,13 @@ let run_prepared p =
     List.length (List.filter (function _, Attester_app.Done _ -> true | _ -> false) outcomes)
   in
   let aborts =
-    let tbl = Hashtbl.create 8 in
-    List.iter
-      (fun (_, o) ->
-        let key =
-          match o with
-          | Attester_app.Done _ -> None
-          | Attester_app.Aborted e -> Some (Format.asprintf "%a" P.pp_error e)
-          | Attester_app.Pending -> Some "still pending at max_ticks"
-        in
-        match key with
-        | None -> ()
-        | Some k ->
-          Hashtbl.replace tbl k (1 + Option.value ~default:0 (Hashtbl.find_opt tbl k)))
-      outcomes;
-    Hashtbl.fold (fun k v acc -> (k, v) :: acc) tbl []
-    |> List.sort (fun (_, a) (_, b) -> compare b a)
+    tally_aborts
+      (List.map
+         (function
+           | _, Attester_app.Done _ -> `Done
+           | _, Attester_app.Aborted e -> `Aborted e
+           | _, Attester_app.Pending -> `Pending)
+         outcomes)
   in
   let latencies =
     List.filter_map
@@ -374,16 +393,6 @@ let pp_report ppf r =
       Format.fprintf ppf "@\n  phase %-9s p50 %a | p95 %a | p99 %a" name Stats.pp_ns
         h.Histogram.p50 Stats.pp_ns h.Histogram.p95 Stats.pp_ns h.Histogram.p99)
     r.phases;
-  let pairs label = function
-    | [] -> ()
-    | l ->
-      Format.fprintf ppf "@\n  %s:" label;
-      List.iter (fun (k, v) -> Format.fprintf ppf " %s=%d" k v) l
-  in
-  pairs "faults" r.faults;
-  pairs "server" r.server;
-  (match r.aborts with
-  | [] -> ()
-  | l ->
-    Format.fprintf ppf "@\n  aborts:";
-    List.iter (fun (k, v) -> Format.fprintf ppf "@\n    %3dx %s" v k) l)
+  pp_pairs ppf "faults" r.faults;
+  pp_pairs ppf "server" r.server;
+  pp_aborts ppf r.aborts

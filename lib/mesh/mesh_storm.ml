@@ -270,21 +270,13 @@ let run ?(config = default_config) ?identities ?(stek_seed = "mesh-stek")
       | _ -> ())
     outcomes;
   let aborts =
-    let tbl = Hashtbl.create 8 in
-    List.iter
-      (fun (_, o) ->
-        let key =
-          match o with
-          | Mesh_attester.Done _ -> None
-          | Mesh_attester.Aborted e -> Some (Format.asprintf "%a" P.pp_error e)
-          | Mesh_attester.Pending -> Some "still pending at max_ticks"
-        in
-        match key with
-        | None -> ()
-        | Some k -> Hashtbl.replace tbl k (1 + Option.value ~default:0 (Hashtbl.find_opt tbl k)))
-      outcomes;
-    Hashtbl.fold (fun k v acc -> (k, v) :: acc) tbl []
-    |> List.sort (fun (_, a) (_, b) -> compare b a)
+    Watz.Storm.tally_aborts
+      (List.map
+         (function
+           | _, Mesh_attester.Done _ -> `Done
+           | _, Mesh_attester.Aborted e -> `Aborted e
+           | _, Mesh_attester.Pending -> `Pending)
+         outcomes)
   in
   let counters = Mesh_verifier.counters server in
   let counter name = Option.value ~default:0 (List.assoc_opt name counters) in
@@ -347,17 +339,7 @@ let pp_report ppf r =
   in
   pp_lat "full" r.full_latency;
   pp_lat "resumed" r.resumed_latency;
-  let pairs label = function
-    | [] -> ()
-    | l ->
-      Format.fprintf ppf "@\n  %s:" label;
-      List.iter (fun (k, v) -> Format.fprintf ppf " %s=%d" k v) l
-  in
-  pairs "rejects" r.resume_rejects;
-  pairs "faults" r.faults;
-  pairs "server" r.server;
-  (match r.aborts with
-  | [] -> ()
-  | l ->
-    Format.fprintf ppf "@\n  aborts:";
-    List.iter (fun (k, v) -> Format.fprintf ppf "@\n    %3dx %s" v k) l)
+  Watz.Storm.pp_pairs ppf "rejects" r.resume_rejects;
+  Watz.Storm.pp_pairs ppf "faults" r.faults;
+  Watz.Storm.pp_pairs ppf "server" r.server;
+  Watz.Storm.pp_aborts ppf r.aborts

@@ -1,6 +1,6 @@
-(** The mesh verifier: a multi-session listener (modeled on
-    {!Watz.Verifier_app}) that fronts the full msg0–msg3 protocol
-    {e and} the mesh's three fast paths on the same port:
+(** The mesh verifier: {!Watz.Verifier_app} started with the mesh's
+    resumption capability, fronting the full msg0–msg3 protocol {e and}
+    the mesh's three fast paths on the same port:
 
     - a full handshake mints a resumption ticket (delivered inside
       msg3 via the protocol's [augment] hook) and records the
@@ -14,366 +14,144 @@
       are hierarchical sub-claims, appraised against the sub-module
       reference list without any re-handshake.
 
-    Frame dispatch is unambiguous: msg0 is a 65-byte SEC1 point
-    starting with 0x04, every mesh frame starts with an ASCII magic.
-
-    All trust decisions and their rejections are counted in the
-    metrics registry; the storm report and the forged-resume fuzz
-    oracle read them from there. *)
+    This module holds only what the mesh knows: the ticket master, the
+    evidence cache, the verdicts over those formats, and the lifecycle
+    operations (endorsement, module update, STEK rotation, restart).
+    Connections, replies, retransmits, aborts and the metrics registry
+    belong to the shared server. Inline appraisal: the server runs with
+    [~batch_verify:false]. *)
 
 module P = Watz_attest.Protocol
 module Evidence = Watz_attest.Evidence
-module T = Watz_obs.Trace
-module Metrics = Watz_obs.Metrics
-module Net = Watz_tz.Net
-module Soc = Watz_tz.Soc
-
-(* An established session: full handshake completed or resumption
-   accepted. Holds what sub-claims and retransmits need. *)
-type estab = {
-  e_k_sub : string;
-  mutable e_resume_cache : (string * string) option; (* resume0 -> reply *)
-  e_sub_acks : (string, string) Hashtbl.t; (* subclaim frame -> ack *)
-}
-
-type conn_state = {
-  id : int;
-  conn : Net.conn;
-  mutable vsession : P.Verifier.session option; (* full-handshake path *)
-  mutable estab : estab option;
-  mutable completed : bool;
-  mutable resumed : bool;
-  mutable last_activity_ns : int64;
-}
+module Verifier_app = Watz.Verifier_app
 
 type t = {
-  soc : Soc.t;
-  port : int;
-  mutable policy : P.Verifier.policy;
-  mutable sub_refs : string list; (* acceptable sub-module measurements *)
-  mutable master : Ticket.master;
+  server : Verifier_app.t;
+  master : Ticket.master ref; (* replaced by [restart] *)
   cache : Cache.t;
-  ticket_ttl_ns : int64;
   stek_seed : string;
-  rng : Watz_util.Prng.t;
-  sessions : (int, conn_state) Hashtbl.t;
-  mutable next_id : int;
-  session_timeout_ns : int64;
-  metrics : Metrics.t;
   mutable restarts : int;
 }
+
+(* The resume0 verdict: redeem the ticket, match the sealed identity,
+   check the binding MAC, the cache and the reference claims, then
+   answer the secret blob under a fresh per-resumption key. *)
+let resume ~master ~cache ~policy ~random ~now_ns frame =
+  let verdict =
+    match Resume.parse_resume0 frame with
+    | None -> Error Resume.Rj_malformed
+    | Some r -> (
+      match Ticket.redeem !master ~now_ns r.Resume.r_ticket with
+      | Error tr -> Error (Resume.reason_of_ticket_reject tr)
+      | Ok body ->
+        if not (String.equal body.Ticket.attester_id r.Resume.r_attester_id) then
+          Error Resume.Rj_id_mismatch
+        else if not (Resume.check_binding ~rms:body.Ticket.rms r) then Error Resume.Rj_bad_binding
+        else if
+          not
+            (Cache.lookup cache ~now_ns ~attester_id:body.Ticket.attester_id
+               ~claim:body.Ticket.claim ~boot:body.Ticket.boot)
+        then Error Resume.Rj_cache_stale
+        else if
+          not (List.exists (String.equal body.Ticket.claim) policy.P.Verifier.reference_claims)
+        then Error Resume.Rj_policy
+        else Ok (body.Ticket.rms, r.Resume.r_nonce_a))
+  in
+  match verdict with
+  | Error reason -> Error (Resume.reason_to_string reason, Resume.build_reject reason)
+  | Ok (rms, nonce_a) ->
+    let nonce_v = random Resume.nonce_len in
+    let iv = random Resume.iv_len in
+    Ok
+      ( Hier.derive_key ~rms,
+        Resume.build_accept ~rms ~nonce_a ~nonce_v ~iv policy.P.Verifier.secret_blob )
+
+(* On a full handshake's acceptance: record the appraisal in the
+   evidence cache and seal a ticket for the session's resumption
+   secret into msg3. *)
+let mint ~master ~cache ~ticket_ttl_ns ~random ~now_ns ~rms (evidence : Evidence.signed) =
+  let body = evidence.Evidence.body in
+  let attester_id = Identity.attester_id_of_pub body.Evidence.attestation_pubkey in
+  let claim = body.Evidence.claim in
+  let boot =
+    match Identity.boot_digest_of_version body.Evidence.version with
+    | Some b -> b
+    | None -> Watz_crypto.Sha256.digest "WZ-MESH-NO-TCB"
+  in
+  Cache.store cache ~now_ns ~attester_id ~claim ~boot;
+  let ticket =
+    Ticket.mint !master ~random ~now_ns ~ttl_ns:ticket_ttl_ns ~attester_id ~claim ~boot ~rms
+  in
+  (Resume.seal_trailer ticket, Hier.derive_key ~rms)
+
+let check_subclaim ~sub_refs ~k_sub frame =
+  match Hier.verify ~k_sub frame with
+  | Error _ -> Error (P.Bad_mac "sub-claim")
+  | Ok v when List.exists (String.equal v.Hier.measurement) sub_refs -> Ok ()
+  | Ok _ -> Error P.Unknown_measurement
 
 (** Start listening. [stek_seed] derives the ticket master — shards of
     a federated fleet pass the same seed so tickets are portable
     across them. [sub_refs] is the reference list for hierarchical
     sub-claims. *)
-let start ?(session_timeout_ns = 2_000_000_000L) ?(ticket_ttl_ns = 10_000_000_000L)
-    ?(cache_ttl_ns = 10_000_000_000L) ?(sub_refs = []) ~stek_seed soc ~port ~policy () =
-  ignore (Net.listen soc.Soc.net ~port);
-  Watz_crypto.P256.prewarm ();
-  List.iter Watz_crypto.P256.prepare policy.P.Verifier.endorsed_keys;
-  ignore (Watz_crypto.P256.encode policy.P.Verifier.identity_pub);
-  {
-    soc;
-    port;
-    policy;
-    sub_refs;
-    master = Ticket.make ~seed:stek_seed;
-    cache = Cache.create ~ttl_ns:cache_ttl_ns ();
-    ticket_ttl_ns;
-    stek_seed;
-    rng = Watz_util.Prng.create 0x6e5410aeL;
-    sessions = Hashtbl.create 32;
-    next_id = 0;
-    session_timeout_ns;
-    metrics = Metrics.create ();
-    restarts = 0;
-  }
+let start ?(ticket_ttl_ns = 10_000_000_000L) ?(cache_ttl_ns = 10_000_000_000L) ?(sub_refs = [])
+    ~stek_seed soc ~port ~policy () =
+  let master = ref (Ticket.make ~seed:stek_seed) in
+  let cache = Cache.create ~ttl_ns:cache_ttl_ns () in
+  let resumption =
+    {
+      Verifier_app.is_resume0 = Resume.is_resume0;
+      is_subclaim = Hier.is_subclaim;
+      resume = resume ~master ~cache;
+      mint = mint ~master ~cache ~ticket_ttl_ns;
+      check_subclaim = check_subclaim ~sub_refs;
+      ack_subclaim = Hier.ack;
+    }
+  in
+  let server = Verifier_app.start ~batch_verify:false ~resumption soc ~port ~policy in
+  { server; master; cache; stek_seed; restarts = 0 }
 
-let random t n = Watz_util.Prng.bytes t.rng n
-let counters t = Metrics.counter_list t.metrics
-let metrics t = t.metrics
+let step t = Verifier_app.step t.server
+let counters t = Verifier_app.counters t.server
+let metrics t = Verifier_app.metrics t.server
 let cache t = t.cache
-let ticket_master t = t.master
-let live_sessions t = Hashtbl.length t.sessions
+let ticket_master t = !(t.master)
 
 (** Endorse an additional attestation key (an attester rotated). *)
 let endorse t pub =
   Watz_crypto.P256.prepare pub;
-  t.policy <- { t.policy with P.Verifier.endorsed_keys = pub :: t.policy.P.Verifier.endorsed_keys }
+  let s = t.server in
+  let policy = s.Verifier_app.policy in
+  s.Verifier_app.policy <-
+    { policy with P.Verifier.endorsed_keys = pub :: policy.P.Verifier.endorsed_keys }
 
 (** Replace the acceptable runtime measurements (module update). *)
 let set_reference_claims t claims =
-  t.policy <- { t.policy with P.Verifier.reference_claims = claims }
-
-let set_sub_refs t refs = t.sub_refs <- refs
+  let s = t.server in
+  s.Verifier_app.policy <- { s.Verifier_app.policy with P.Verifier.reference_claims = claims }
 
 (** Rotate the session-ticket key: outstanding tickets reject as
     [rotated] from now on. *)
 let rotate_tickets t =
-  Metrics.incr t.metrics "stek_rotations";
-  Ticket.rotate t.master
-
-let close_conn t state reason =
-  Metrics.incr t.metrics reason;
-  Net.close state.conn;
-  Hashtbl.remove t.sessions state.id
-
-let abort t state err =
-  Metrics.incr t.metrics "sessions_aborted";
-  ignore (err : P.error);
-  T.instant (Soc.tracer t.soc) T.Normal ~session:state.id "mesh.abort";
-  Net.close state.conn;
-  Hashtbl.remove t.sessions state.id
+  Watz_obs.Metrics.incr (metrics t) "stek_rotations";
+  Ticket.rotate !(t.master)
 
 (** Simulate a verifier restart: every live connection dies, the
     evidence cache is wiped, and a fresh ticket master is derived —
     outstanding tickets become [unknown_key]. *)
 let restart t =
   t.restarts <- t.restarts + 1;
-  Metrics.incr t.metrics "restarts";
-  let live = Hashtbl.fold (fun _ s acc -> s :: acc) t.sessions [] in
-  List.iter (fun s -> close_conn t s "sessions_closed") live;
+  Watz_obs.Metrics.incr (metrics t) "restarts";
+  Verifier_app.close_all t.server;
   Cache.clear t.cache;
-  t.master <- Ticket.make ~seed:(Printf.sprintf "%s:restart%d" t.stek_seed t.restarts)
-
-let reply t state frame =
-  match Net.send_frame state.conn frame with
-  | () -> true
-  | exception Net.Peer_closed ->
-    if state.completed then close_conn t state "sessions_closed"
-    else abort t state (P.Connection_lost "mesh verifier: peer vanished mid-reply");
-    false
-
-let stray t state =
-  Metrics.incr t.metrics "stray_after_complete";
-  T.instant (Soc.tracer t.soc) T.Normal ~session:state.id "mesh.stray_after_complete"
-
-let establish_from_rms ~rms =
-  { e_k_sub = Hier.derive_key ~rms; e_resume_cache = None; e_sub_acks = Hashtbl.create 4 }
-
-(* ------------------------------------------------------------------ *)
-(* Resume path *)
-
-let handle_resume0 t state frame =
-  match state.estab with
-  | Some e -> (
-    match e.e_resume_cache with
-    | Some (prev, rep) when String.equal prev frame ->
-      Metrics.incr t.metrics "retransmits_answered";
-      ignore (reply t state rep)
-    | _ -> stray t state)
-  | None ->
-    if state.vsession <> None then stray t state
-    else begin
-      Metrics.incr t.metrics "resume_attempts";
-      let now = Soc.now_ns t.soc in
-      let reject reason =
-        Metrics.incr t.metrics ("resume_rejected." ^ Resume.reason_to_string reason);
-        T.instant (Soc.tracer t.soc) T.Normal ~session:state.id "mesh.resume_reject";
-        if reply t state (Resume.build_reject reason) then
-          (* The attester falls back on a fresh connection; this one is
-             done. Closing here (not aborting) keeps reject != failure. *)
-          close_conn t state "resume_fallbacks"
-      in
-      let verdict =
-        Soc.smc t.soc (fun () ->
-            match Resume.parse_resume0 frame with
-            | None -> Error Resume.Rj_malformed
-            | Some r -> (
-              match Ticket.redeem t.master ~now_ns:now r.Resume.r_ticket with
-              | Error tr -> Error (Resume.reason_of_ticket_reject tr)
-              | Ok body ->
-                if not (String.equal body.Ticket.attester_id r.Resume.r_attester_id) then
-                  Error Resume.Rj_id_mismatch
-                else if not (Resume.check_binding ~rms:body.Ticket.rms r) then
-                  Error Resume.Rj_bad_binding
-                else if
-                  not
-                    (Cache.lookup t.cache ~now_ns:now ~attester_id:body.Ticket.attester_id
-                       ~claim:body.Ticket.claim ~boot:body.Ticket.boot)
-                then Error Resume.Rj_cache_stale
-                else if
-                  not
-                    (List.exists (String.equal body.Ticket.claim)
-                       t.policy.P.Verifier.reference_claims)
-                then Error Resume.Rj_policy
-                else begin
-                  let nonce_v = random t Resume.nonce_len in
-                  let iv = random t Resume.iv_len in
-                  let rep =
-                    Resume.build_accept ~rms:body.Ticket.rms ~nonce_a:r.Resume.r_nonce_a
-                      ~nonce_v ~iv t.policy.P.Verifier.secret_blob
-                  in
-                  Ok (body.Ticket.rms, rep)
-                end))
-      in
-      match verdict with
-      | Error reason -> reject reason
-      | Ok (rms, rep) ->
-        let e = establish_from_rms ~rms in
-        e.e_resume_cache <- Some (frame, rep);
-        state.estab <- Some e;
-        state.completed <- true;
-        state.resumed <- true;
-        Metrics.incr t.metrics "resumes_accepted";
-        T.instant (Soc.tracer t.soc) T.Normal ~session:state.id "mesh.resume_accept";
-        ignore (reply t state rep)
-    end
-
-(* ------------------------------------------------------------------ *)
-(* Hierarchical sub-claims *)
-
-let handle_subclaim t state frame =
-  match state.estab with
-  | None -> abort t state (P.Malformed "mesh verifier: sub-claim before establishment")
-  | Some e -> (
-    match Hashtbl.find_opt e.e_sub_acks frame with
-    | Some ack ->
-      Metrics.incr t.metrics "retransmits_answered";
-      ignore (reply t state ack)
-    | None -> (
-      match Soc.smc t.soc (fun () -> Hier.verify ~k_sub:e.e_k_sub frame) with
-      | Error _ ->
-        Metrics.incr t.metrics "subclaims_rejected";
-        abort t state (P.Bad_mac "sub-claim")
-      | Ok v ->
-        if not (List.exists (String.equal v.Hier.measurement) t.sub_refs) then begin
-          Metrics.incr t.metrics "subclaims_rejected";
-          abort t state P.Unknown_measurement
-        end
-        else begin
-          let ack = Soc.smc t.soc (fun () -> Hier.ack ~k_sub:e.e_k_sub frame) in
-          Hashtbl.replace e.e_sub_acks frame ack;
-          Metrics.incr t.metrics "subclaims_accepted";
-          ignore (reply t state ack)
-        end))
-
-(* ------------------------------------------------------------------ *)
-(* Full-handshake path (mirrors Verifier_app, plus ticket minting) *)
-
-let handle_full t state frame =
-  match state.vsession with
-  | None -> (
-    match
-      Soc.smc t.soc (fun () ->
-          P.Verifier.handle_msg0 ~trace:(Soc.tracer t.soc) ~sid:state.id t.policy
-            ~random:(random t) frame)
-    with
-    | Ok (vsession, m1) ->
-      state.vsession <- Some vsession;
-      ignore (reply t state m1)
-    | Error e -> abort t state e)
-  | Some vsession ->
-    if P.Verifier.is_msg0_retransmit vsession frame then begin
-      match P.Verifier.msg1_reply vsession with
-      | Some m1 ->
-        Metrics.incr t.metrics "retransmits_answered";
-        ignore (reply t state m1)
-      | None -> stray t state
-    end
-    else begin
-      let already = state.completed in
-      (* On first acceptance the augment hook records the appraisal in
-         the evidence cache, derives the session's resumption secret
-         and seals the ticket into msg3's encrypted blob. *)
-      let augment (evidence : Evidence.signed) =
-        let now = Soc.now_ns t.soc in
-        let attester_id = Identity.attester_id_of_pub evidence.Evidence.body.Evidence.attestation_pubkey in
-        let claim = evidence.Evidence.body.Evidence.claim in
-        let boot =
-          match Identity.boot_digest_of_version evidence.Evidence.body.Evidence.version with
-          | Some b -> b
-          | None -> Watz_crypto.Sha256.digest "WZ-MESH-NO-TCB"
-        in
-        Cache.store t.cache ~now_ns:now ~attester_id ~claim ~boot;
-        let rms = P.Verifier.resumption_secret vsession in
-        let ticket =
-          Ticket.mint t.master ~random:(random t) ~now_ns:now ~ttl_ns:t.ticket_ttl_ns
-            ~attester_id ~claim ~boot ~rms
-        in
-        Metrics.incr t.metrics "tickets_minted";
-        state.estab <- Some (establish_from_rms ~rms);
-        Resume.seal_trailer ticket
-      in
-      match
-        Soc.smc t.soc (fun () -> P.Verifier.handle_msg2 ~augment vsession ~random:(random t) frame)
-      with
-      | Ok m3 ->
-        if already then begin
-          Metrics.incr t.metrics "retransmits_answered";
-          T.instant (Soc.tracer t.soc) T.Normal ~session:state.id "mesh.retransmit_answered"
-        end
-        else begin
-          state.completed <- true;
-          Metrics.incr t.metrics "full_completed";
-          T.instant (Soc.tracer t.soc) T.Normal ~session:state.id "mesh.full_accept"
-        end;
-        ignore (reply t state m3)
-      | Error _ when already -> stray t state
-      | Error e -> abort t state e
-    end
-
-let handle_frame t state frame =
-  if Resume.is_resume0 frame then handle_resume0 t state frame
-  else if Hier.is_subclaim frame then handle_subclaim t state frame
-  else if state.vsession = None && state.estab <> None then
-    (* A resumed connection only ever carries resume0 retransmits and
-       sub-claims. *)
-    stray t state
-  else handle_full t state frame
-
-(** One scheduling quantum: accept pending connections, process every
-    complete frame on every live session, evict the stalled ones. *)
-let step t =
-  let rec accept_all () =
-    match Net.accept t.soc.Soc.net ~port:t.port with
-    | None -> ()
-    | Some conn ->
-      let id = t.next_id in
-      t.next_id <- id + 1;
-      Metrics.incr t.metrics "sessions_started";
-      Hashtbl.replace t.sessions id
-        {
-          id;
-          conn;
-          vsession = None;
-          estab = None;
-          completed = false;
-          resumed = false;
-          last_activity_ns = Soc.now_ns t.soc;
-        };
-      accept_all ()
-  in
-  accept_all ();
-  let now = Soc.now_ns t.soc in
-  let live = Hashtbl.fold (fun _ s acc -> s :: acc) t.sessions [] in
-  let rec drain state =
-    match Net.recv_frame_ex state.conn with
-    | Net.Frame frame ->
-      state.last_activity_ns <- Soc.now_ns t.soc;
-      handle_frame t state frame;
-      if Hashtbl.mem t.sessions state.id then drain state
-    | Net.Awaiting ->
-      if Int64.sub now state.last_activity_ns > t.session_timeout_ns then
-        if state.completed then close_conn t state "sessions_closed"
-        else begin
-          Metrics.incr t.metrics "sessions_evicted";
-          abort t state (P.Timed_out "mesh verifier: session stalled")
-        end
-    | Net.Closed_by_peer ->
-      if state.completed then close_conn t state "sessions_closed"
-      else abort t state (P.Connection_lost "mesh verifier: peer closed mid-protocol")
-    | Net.Frame_violation e ->
-      Metrics.incr t.metrics "frame_violations";
-      abort t state (P.Malformed (Format.asprintf "frame: %a" Net.pp_frame_error e))
-  in
-  List.iter drain live
+  t.master := Ticket.make ~seed:(Printf.sprintf "%s:restart%d" t.stek_seed t.restarts)
 
 (** Copy the cache counters into the metrics registry (called by the
     storm before reporting, so one registry carries everything). *)
 let snapshot_cache_metrics t =
-  let set name v = Watz_obs.Metrics.Gauge.set (Metrics.gauge t.metrics ("cache." ^ name)) v in
+  let set name v =
+    Watz_obs.Metrics.Gauge.set (Watz_obs.Metrics.gauge (metrics t) ("cache." ^ name)) v
+  in
   set "size" (Cache.size t.cache);
   set "hits" (Cache.hits t.cache);
   set "misses" (Cache.misses t.cache);
@@ -381,4 +159,4 @@ let snapshot_cache_metrics t =
   set "invalidated" (Cache.invalidated t.cache);
   set "expired" (Cache.expired t.cache);
   set "merged" (Cache.merged t.cache);
-  set "tickets_minted" (Ticket.minted t.master)
+  set "tickets_minted" (Ticket.minted !(t.master))

@@ -180,8 +180,16 @@ let test_completed_session_resurrection () =
 (* 6b. The same attack against the live server: a duplicated msg0
    arriving on the connection after the handshake finished must be
    counted as stray and ignored — no msg1 on the wire, no abort, the
-   completed appraisal stands. *)
-let test_server_ignores_stray_msg0 () =
+   completed appraisal stands. [start] builds the server under test:
+   the plain listener or the resumption-capable mesh verifier, which
+   share one connection state machine. *)
+let plain_server soc ~port ~policy = Watz.Verifier_app.start soc ~port ~policy
+
+let resumption_server soc ~port ~policy =
+  (Watz_mesh.Mesh_verifier.start ~stek_seed:"stray-stek" soc ~port ~policy ())
+    .Watz_mesh.Mesh_verifier.server
+
+let test_server_ignores_stray_msg0 start () =
   let soc = booted "stray-device" in
   let service = Service.create (Soc.optee soc) in
   let policy =
@@ -190,7 +198,7 @@ let test_server_ignores_stray_msg0 () =
       ~reference_claims:[ claim ] ~secret_blob:"the secret" ()
   in
   let port = 7200 in
-  let server = Watz.Verifier_app.start soc ~port ~policy in
+  let server = start soc ~port ~policy in
   let assoc name =
     Option.value ~default:0 (List.assoc_opt name (Watz.Verifier_app.counters server))
   in
@@ -254,7 +262,10 @@ let suite =
         case "stale-version downgrade" test_version_downgrade;
         case "msg0 replay after completion: protocol stays terminal"
           test_completed_session_resurrection;
-        case "msg0 replay after completion: server counts it stray" test_server_ignores_stray_msg0;
+        case "msg0 replay after completion: server counts it stray"
+          (test_server_ignores_stray_msg0 plain_server);
+        case "msg0 replay after completion: resumption-capable server counts it stray"
+          (test_server_ignores_stray_msg0 resumption_server);
         case "truncated frames: no session completes" test_truncated_frames;
         case "mitm byte flips: no session completes" test_mitm_flip;
       ] );

@@ -7,6 +7,7 @@ module Net = Watz_tz.Net
 module Storm = Watz.Storm
 module App = Watz.Attester_app
 module W = Watz_util.Bytesio.Writer
+module Histogram = Watz_obs.Metrics.Histogram
 
 let case name f = Alcotest.test_case name `Quick f
 let seeded name f = Alcotest.test_case name `Quick (Test_seed.replayable name f)
@@ -217,6 +218,41 @@ let test_storm_perfect_is_clean () =
   Alcotest.(check int) "all complete" 8 r.Storm.completed;
   Alcotest.(check int) "no retries needed" 0 r.Storm.retries;
   Alcotest.(check int) "no faults" 0 (List.fold_left (fun a (_, v) -> a + v) 0 r.Storm.faults)
+
+(* Batch verification's contract: on a fault-free link a batched
+   server reports exactly what inline appraisal reports. (Under fault
+   injection the two legitimately diverge: the link draws its seeded
+   faults in send order, and batching sends the msg3 replies of parked
+   sessions after the rest of the pass.) The inline side is the same prepared
+   storm with its server swapped for an inline one on a second port. *)
+let test_batch_verify_matches_inline_on_perfect_link () =
+  let config = { Storm.default_config with Storm.sessions = 64; profile = Net.perfect } in
+  let batched = Storm.prepare ~config () in
+  let inline =
+    let p = Storm.prepare ~config () in
+    let port = p.Storm.p_port + 1 in
+    let policy = p.Storm.p_server.Watz.Verifier_app.policy in
+    {
+      p with
+      Storm.p_server = Watz.Verifier_app.start ~batch_verify:false p.Storm.p_soc ~port ~policy;
+      p_port = port;
+    }
+  in
+  let rb = Storm.run_prepared batched and ri = Storm.run_prepared inline in
+  let largest_batch r =
+    match List.assoc_opt "verify_batch_size" r.Storm.server_hists with
+    | Some h when Histogram.count h > 0 -> (Histogram.summarize h).Histogram.max
+    | _ -> 0
+  in
+  Alcotest.(check bool) "batched side settled multi-signature batches" true (largest_batch rb > 1);
+  Alcotest.(check int) "inline side never batched" 0 (largest_batch ri);
+  Alcotest.(check int) "all complete" 64 rb.Storm.completed;
+  (* The report prints every server counter, fault count, tick and
+     retry; the latency summary is compared exactly as well. *)
+  Alcotest.(check string) "identical reports"
+    (Format.asprintf "%a" Storm.pp_report ri)
+    (Format.asprintf "%a" Storm.pp_report rb);
+  Alcotest.(check bool) "identical latency summary" true (ri.Storm.latency = rb.Storm.latency)
 
 (* --- QCheck properties ---------------------------------------------- *)
 
@@ -430,6 +466,8 @@ let suite =
       [
         seeded "lossy profile, 32 sessions, >=99% complete" test_storm_lossy_completes;
         case "perfect profile completes without retries" test_storm_perfect_is_clean;
+        case "perfect profile: batched verify reports as inline"
+          test_batch_verify_matches_inline_on_perfect_link;
         case "backoff resets on phase advance" test_backoff_resets_on_phase_advance;
         qcheck prop_codec_roundtrip_chunked;
         qcheck prop_truncate_is_clean_prefix;

@@ -22,6 +22,7 @@ module Resume = Watz_mesh.Resume
 module Cache = Watz_mesh.Cache
 module Hier = Watz_mesh.Hier
 module Mesh_storm = Watz_mesh.Mesh_storm
+module Mesh_verifier = Watz_mesh.Mesh_verifier
 module Mesh_fleet = Watz_mesh.Mesh_fleet
 
 let case name f = Alcotest.test_case name `Quick f
@@ -159,6 +160,64 @@ let test_resume_genuine_accepts () =
   match resume_accepts f.master ~now_ns:(Int64.add f.now 1L) f.resume0 with
   | Some _ -> ()
   | None -> Alcotest.fail "genuine resume0 rejected"
+
+(* The live server: a full handshake by hand mints a ticket, a second
+   connection resumes with it, and a byte-identical duplicate of that
+   resume0 is answered from the connection's cached accept — same
+   bytes, no second ticket redemption or cache lookup. *)
+let test_server_duplicate_resume0_cached () =
+  let soc = Soc.manufacture ~seed:"mesh-dup-board" () in
+  (match Soc.boot soc with Ok _ -> () | Error _ -> Alcotest.fail "board failed to boot");
+  let claim = C.Sha256.digest "mesh-dup-app" in
+  let id = Watz_mesh.Identity.create ~seed:"mesh-dup-attester" ~claim in
+  let policy =
+    P.Verifier.make_policy ~identity_seed:"mesh-dup-verifier"
+      ~endorsed_keys:[ Watz_mesh.Identity.public_key id ]
+      ~reference_claims:[ claim ] ~secret_blob:"mesh dup secret" ()
+  in
+  let port = 7400 in
+  let server = Mesh_verifier.start ~stek_seed:"mesh-dup-stek" soc ~port ~policy () in
+  let counter name =
+    Option.value ~default:0 (List.assoc_opt name (Mesh_verifier.counters server))
+  in
+  let exchange conn frame =
+    Net.send_frame conn frame;
+    Mesh_verifier.step server;
+    match Net.recv_frame conn with Some r -> r | None -> Alcotest.fail "no reply"
+  in
+  let ok what = function
+    | Ok v -> v
+    | Error e -> Alcotest.failf "%s failed: %a" what P.pp_error e
+  in
+  let rng = Prng.create 0xd0b1eL in
+  let random n = Prng.bytes rng n in
+  let attester = P.Attester.create ~random ~expected_verifier:policy.P.Verifier.identity_pub () in
+  let full = Net.connect soc.Soc.net ~port in
+  let m1 = exchange full (P.Attester.msg0 attester) in
+  let anchor = ok "msg1" (P.Attester.handle_msg1 attester m1) in
+  let evidence = Watz_mesh.Identity.issue_evidence id ~anchor in
+  let m2 = ok "msg2" (P.Attester.msg2 attester ~evidence) in
+  let blob = ok "msg3" (P.Attester.handle_msg3 attester (exchange full m2)) in
+  let ticket =
+    match Resume.split_blob blob with
+    | _, Some t -> t
+    | _, None -> Alcotest.fail "msg3 carried no ticket"
+  in
+  let rms = Option.get (P.Attester.resumption_secret attester) in
+  let resume0 =
+    Resume.build_resume0 ~rms ~attester_id:(Watz_mesh.Identity.attester_id id)
+      ~nonce_a:(random Resume.nonce_len) ~ticket
+  in
+  let conn = Net.connect soc.Soc.net ~port in
+  let accept = exchange conn resume0 in
+  check_bool "resume accepted" true (Resume.is_accept accept);
+  let again = exchange conn resume0 in
+  check_bool "duplicate answered with the cached accept" true (String.equal accept again);
+  check_int "one resume accepted" 1 (counter "resumes_accepted");
+  check_int "one retransmit answered" 1 (counter "retransmits_answered");
+  check_int "one resume attempt" 1 (counter "resume_attempts");
+  check_int "one cache lookup" 1 (Cache.hits (Mesh_verifier.cache server));
+  check_int "nothing stray" 0 (counter "stray_after_complete")
 
 let prop_resume0_flip =
   QCheck.Test.make ~name:"resume0: any flipped byte rejects" ~count:300
@@ -412,6 +471,8 @@ let suite =
     ( "mesh.resume",
       [
         case "genuine resume0 accepted" test_resume_genuine_accepts;
+        case "server answers a duplicate resume0 from its cached accept"
+          test_server_duplicate_resume0_cached;
         case "cross-attester replay rejected" test_resume_cross_attester_replay;
         case "wrong-rms binding rejected" test_resume_wrong_rms_binding;
         case "reject codec roundtrips" test_reject_codec;
