@@ -1,35 +1,29 @@
-(** The mesh attester driver: one session of the attested service
-    mesh over the lossy simulated network, as a non-blocking state
-    machine with per-state deadlines and bounded exponential-backoff
-    retransmission (the same discipline as {!Watz.Attester_app}).
+(** The mesh attester: one session of the attested service mesh, as a
+    layer over {!Watz.Attester_app}. The driver's link carries the
+    session (retransmission, deadlines, backoff, transport-failure
+    typing) and its msg0–msg3 leg runs the full handshake; this layer
+    adds what only the mesh knows.
 
-    A session holding a ticket opens with the 1-RTT resume exchange;
-    on any reject — or on losing the connection while resuming — it
-    falls back to the full msg0–msg3 handshake on a fresh connection,
-    still inside the same logical session (the fallback's extra round
-    trip stays in this session's latency). A full handshake harvests
-    the ticket sealed into msg3 and the resumption secret from the
-    protocol state, stashing both in the {!Identity} for the next
-    session. Once established (either path), the driver streams its
-    hierarchical sub-claims and waits for each ack before the next. *)
+    A session holding a ticket opens the link with the 1-RTT resume
+    exchange; on any reject — or on losing the connection while
+    resuming — it falls back to a full handshake leg on a fresh
+    connection, still inside the same logical session (the fallback's
+    extra round trip stays in this session's latency). A full handshake
+    harvests the ticket sealed into msg3 and the resumption secret from
+    the protocol state, stashing both in the {!Identity} for the next
+    session. Once established (either path), the session streams its
+    hierarchical sub-claims and waits for each ack before the next.
+    Where the classic driver aborts on a closed connection, this one
+    re-attests from scratch, up to {!full_restart_budget} times. *)
 
 module P = Watz_attest.Protocol
 module T = Watz_obs.Trace
-module Net = Watz_tz.Net
 module Soc = Watz_tz.Soc
+module A = Watz.Attester_app
 
-type retry = Watz.Attester_app.retry = {
-  initial_timeout_ns : int64;
-  backoff : float;
-  max_retries : int;
-}
-
-let default_retry = Watz.Attester_app.default_retry
-
-type phase =
-  | Resume_await (* resume0 outstanding *)
-  | Full_await_msg1
-  | Full_await_msg3
+type stage =
+  | Resuming of string (* resume0 outstanding, under this nonce *)
+  | Full of A.t (* a msg0–msg3 leg running *)
   | Sub_await (* sub-claim outstanding *)
   | Term
 
@@ -45,54 +39,27 @@ type done_info = {
 type outcome = Pending | Done of done_info | Aborted of P.error
 
 type t = {
-  soc : Soc.t;
-  port : int;
+  link : A.link;
   identity : Identity.t;
   expected_verifier : Watz_crypto.P256.point;
   random : int -> string;
-  retry : retry;
-  sid : int;
   mutable subclaims : (string * string) list; (* (name, measurement) left to attest *)
-  mutable subclaims_acked : int;
-  mutable conn : Net.conn;
-  mutable proto : P.Attester.t option; (* full-handshake protocol state *)
-  mutable phase : phase;
+  mutable stage : stage;
   mutable outcome : outcome;
-  mutable outstanding : string;
-  mutable timeout_ns : int64;
-  mutable deadline_ns : int64;
-  mutable retries_left : int;
-  mutable retries : int;
   mutable full_restarts_left : int;
-  mutable fell_back : bool;
-  mutable resumed : bool;
-  mutable nonce_a : string;
-  mutable rms : string; (* established resumption secret ("" until known) *)
+  mutable report : done_info; (* what [Done] reports, filled in as the session goes *)
   mutable k_sub : string;
-  mutable blob : string;
   started_ns : int64;
   mutable established_ns : int64; (* handshake (either path) done; 0 until then *)
-  mutable finished_ns : int64;
 }
 
-let now t = Soc.now_ns t.soc
-let tr t = Soc.tracer t.soc
-let arm t = t.deadline_ns <- Int64.add (now t) t.timeout_ns
-
-let rearm_fresh t =
-  t.timeout_ns <- t.retry.initial_timeout_ns;
-  t.retries_left <- t.retry.max_retries;
-  arm t
+let soc t = t.link.A.soc
+let trace_instant t name = T.instant (Soc.tracer (soc t)) T.Normal ~session:t.link.A.sid name
 
 let finish t outcome =
-  (match outcome with
-  | Aborted _ -> T.instant (tr t) T.Normal ~session:t.sid "mesh.attest.abort"
-  | Done _ | Pending -> ());
-  T.end_ (tr t) T.Normal ~session:t.sid "mesh.attest.session";
+  A.close t.link ~aborted:(match outcome with Aborted _ -> true | Done _ | Pending -> false);
   t.outcome <- outcome;
-  t.phase <- Term;
-  t.finished_ns <- now t;
-  Net.close t.conn
+  t.stage <- Term
 
 let abort t err = finish t (Aborted err)
 
@@ -103,246 +70,140 @@ let abort t err = finish t (Aborted err)
    behaviour is to re-attest with fresh state, not to give up. *)
 let full_restart_budget = 3
 
-let rec send t frame =
-  match Net.send_frame t.conn frame with
-  | () -> true
-  | exception Net.Peer_closed ->
-    on_peer_closed t "mesh attester: peer closed";
-    false
-
-(* The verifier closed our connection. While resuming that is just the
-   fallback signal (rejects are advisory and may themselves be lost);
-   elsewhere, re-attest from scratch on a fresh connection while the
-   budget lasts. *)
-and on_peer_closed t reason =
-  match t.phase with
-  | Term -> ()
-  | Resume_await -> fall_back t
-  | Full_await_msg1 | Full_await_msg3 | Sub_await ->
-    if t.full_restarts_left > 0 then begin
-      t.full_restarts_left <- t.full_restarts_left - 1;
-      T.instant (tr t) T.Normal ~session:t.sid "mesh.attest.restart";
-      Net.close t.conn;
-      t.conn <- Net.connect t.soc.Soc.net ~port:t.port;
-      start_full t
-    end
-    else abort t (P.Connection_lost reason)
-
-and finish_done t =
-  finish t
-    (Done
-       {
-         path = (if t.resumed then Resumed else Full_handshake);
-         blob = t.blob;
-         fell_back = t.fell_back;
-         subclaims_acked = t.subclaims_acked;
-       })
-
-(* Establishment reached on either path: stream sub-claims, then finish. *)
-and next_subclaim t =
-  match t.subclaims with
-  | [] -> finish_done t
-  | (name, measurement) :: _ ->
-    let frame = Soc.smc t.soc (fun () -> Hier.make ~k_sub:t.k_sub ~name ~measurement) in
-    t.outstanding <- frame;
-    t.phase <- Sub_await;
-    if send t frame then rearm_fresh t
-
-and established t ~rms ~blob =
-  t.established_ns <- now t;
-  t.rms <- rms;
-  t.k_sub <- Hier.derive_key ~rms;
-  t.blob <- blob;
-  next_subclaim t
-
-(* Start the full msg0–msg3 handshake on the current connection
-   (first contact, or fallback after a rejected resume). *)
-and start_full t =
-  let proto =
-    Soc.smc t.soc (fun () ->
-        P.Attester.create ~trace:(tr t) ~sid:t.sid ~random:t.random
-          ~expected_verifier:t.expected_verifier ())
+(* Start a full handshake leg on the current connection (first
+   contact, fallback after a rejected resume, or a restart). Evidence
+   is signed by the identity's key in the secure world. *)
+let start_full t =
+  let soc = soc t and identity = t.identity in
+  let leg =
+    A.leg t.link ~random:t.random ~expected_verifier:t.expected_verifier ~issue:(fun ~anchor ->
+        Soc.smc soc (fun () -> Identity.issue_evidence identity ~anchor))
   in
-  t.proto <- Some proto;
-  let m0 = P.Attester.msg0 proto in
-  t.outstanding <- m0;
-  t.phase <- Full_await_msg1;
-  rearm_fresh t;
-  ignore (send t m0 : bool)
+  t.stage <- Full leg;
+  A.send_msg0 leg
 
 (* A rejected (or transport-dead) resume: drop the stale ticket and
    fall back on a fresh connection. *)
-and fall_back t =
-  t.fell_back <- true;
+let fall_back t =
+  t.report <- { t.report with fell_back = true };
   t.identity.Identity.ticket <- None;
   t.identity.Identity.rms <- None;
-  T.instant (tr t) T.Normal ~session:t.sid "mesh.attest.fallback";
-  Net.close t.conn;
-  t.conn <- Net.connect t.soc.Soc.net ~port:t.port;
+  trace_instant t "attest.fallback";
+  A.reconnect t.link;
   start_full t
 
-(** Launch one session. With a ticket in the identity the session
-    opens with resume0; otherwise it goes straight to msg0.
-    [subclaims] are attested in order once the session establishes. *)
-let start ?(retry = default_retry) ?(sid = T.no_session) ?(subclaims = []) soc ~port ~random
-    ~identity ~expected_verifier () =
-  T.begin_ (Soc.tracer soc) T.Normal ~session:sid "mesh.attest.session";
-  identity.Identity.sessions <- identity.Identity.sessions + 1;
-  let t =
-    {
-      soc;
-      port;
-      identity;
-      expected_verifier;
-      random;
-      retry;
-      sid;
-      subclaims;
-      subclaims_acked = 0;
-      conn = Net.connect soc.Soc.net ~port;
-      proto = None;
-      phase = Term;
-      outcome = Pending;
-      outstanding = "";
-      timeout_ns = retry.initial_timeout_ns;
-      deadline_ns = 0L;
-      retries_left = retry.max_retries;
-      retries = 0;
-      full_restarts_left = full_restart_budget;
-      fell_back = false;
-      resumed = false;
-      nonce_a = "";
-      rms = "";
-      k_sub = "";
-      blob = "";
-      started_ns = Soc.now_ns soc;
-      established_ns = 0L;
-      finished_ns = 0L;
-    }
-  in
-  (match (identity.Identity.ticket, identity.Identity.rms) with
-  | Some ticket, Some rms ->
-    t.nonce_a <- random Resume.nonce_len;
-    let frame =
-      Soc.smc soc (fun () ->
-          Resume.build_resume0 ~rms ~attester_id:(Identity.attester_id identity)
-            ~nonce_a:t.nonce_a ~ticket)
-    in
-    t.outstanding <- frame;
-    t.phase <- Resume_await;
-    rearm_fresh t;
-    ignore (send t frame : bool)
-  | _ -> start_full t);
-  t
+(* The link's transport failures. While resuming, a closed connection
+   or a frame violation is just the fallback signal (rejects are
+   advisory and may themselves be lost); elsewhere, a closed
+   connection re-attests from scratch on a fresh one while the budget
+   lasts. Everything else ends the session. *)
+let on_failure t err =
+  match (t.stage, err) with
+  | Term, _ -> ()
+  | Resuming _, (P.Connection_lost _ | P.Malformed _) -> fall_back t
+  | (Full _ | Sub_await), P.Connection_lost _ when t.full_restarts_left > 0 ->
+    t.full_restarts_left <- t.full_restarts_left - 1;
+    trace_instant t "attest.restart";
+    A.reconnect t.link;
+    start_full t
+  | _ -> abort t err
 
-let outcome t = t.outcome
-let retries t = t.retries
-let started_ns t = t.started_ns
-let established_ns t = t.established_ns
-let finished_ns t = t.finished_ns
-let resumed t = t.resumed
-let fell_back t = t.fell_back
+(* Establishment reached on either path: stream sub-claims, then finish. *)
+let next_subclaim t =
+  match t.subclaims with
+  | [] -> finish t (Done t.report)
+  | (name, measurement) :: _ ->
+    let frame = Soc.smc (soc t) (fun () -> Hier.make ~k_sub:t.k_sub ~name ~measurement) in
+    t.stage <- Sub_await;
+    ignore (A.transmit t.link frame ~awaiting:"attester: awaiting sub-claim ack" : bool)
+
+let established t ~path ~rms ~blob =
+  t.established_ns <- A.now t.link;
+  t.report <- { t.report with path; blob };
+  t.k_sub <- Hier.derive_key ~rms;
+  next_subclaim t
 
 let handle_frame t frame =
-  match t.phase with
+  match t.stage with
   | Term -> ()
-  | Resume_await ->
-    if Resume.is_reject frame then fall_back t
-    else if Resume.is_accept frame then begin
-      match
-        Soc.smc t.soc (fun () ->
+  | Resuming nonce_a -> (
+    let opened =
+      if not (Resume.is_accept frame) then None
+      else
+        Soc.smc (soc t) (fun () ->
             match t.identity.Identity.rms with
-            | Some rms -> Option.map (fun b -> (rms, b)) (Resume.open_accept ~rms ~nonce_a:t.nonce_a frame)
+            | Some rms -> Option.map (fun b -> (rms, b)) (Resume.open_accept ~rms ~nonce_a frame)
             | None -> None)
-      with
-      | Some (rms, blob) ->
-        t.resumed <- true;
-        T.instant (tr t) T.Normal ~session:t.sid "mesh.attest.resumed";
-        established t ~rms ~blob
-      | None ->
-        (* An accept that fails to authenticate (e.g. corrupted in
-           flight) is as dead as a reject: re-attest in full. *)
-        fall_back t
-    end
-    else
-      (* Unparseable traffic during resume: treat like a dead resume
-         path and fall back — the full handshake is the safe state. *)
-      fall_back t
-  | Full_await_msg1 -> (
-    let proto = Option.get t.proto in
-    match Soc.smc t.soc (fun () -> P.Attester.handle_msg1 proto frame) with
-    | Error e -> abort t e
-    | Ok anchor -> (
-      let evidence =
-        Soc.smc t.soc (fun () -> Identity.issue_evidence t.identity ~anchor)
-      in
-      match Soc.smc t.soc (fun () -> P.Attester.msg2 proto ~evidence) with
-      | Error e -> abort t e
-      | Ok m2 ->
-        t.outstanding <- m2;
-        if send t m2 then begin
-          t.phase <- Full_await_msg3;
-          rearm_fresh t
-        end))
-  | Full_await_msg3 -> (
-    let proto = Option.get t.proto in
-    (* A duplicated msg1 is answered by resending msg2 (same backoff
-       discipline as Attester_app). *)
-    match Soc.smc t.soc (fun () -> P.Attester.handle_msg1 proto frame) with
-    | Ok _anchor -> if send t t.outstanding then arm t
-    | Error _ -> (
-      match Soc.smc t.soc (fun () -> P.Attester.handle_msg3 proto frame) with
-      | Error e -> abort t e
-      | Ok blob_with_trailer ->
-        let blob, ticket = Resume.split_blob blob_with_trailer in
-        let rms =
-          match P.Attester.resumption_secret proto with
-          | Some rms -> rms
-          | None -> assert false (* session keys exist on a completed handshake *)
-        in
-        t.identity.Identity.ticket <- ticket;
-        t.identity.Identity.rms <- Some rms;
-        established t ~rms ~blob))
+    in
+    match opened with
+    | Some (rms, blob) ->
+      trace_instant t "attest.resumed";
+      established t ~path:Resumed ~rms ~blob
+    | None ->
+      (* A reject, an accept that fails to authenticate (e.g. corrupted
+         in flight) or unparseable traffic: the resume path is dead, and
+         the full handshake is the safe state. *)
+      fall_back t)
+  | Full leg -> (
+    match A.leg_frame leg frame with
+    | A.Pending -> ()
+    | A.Aborted e -> abort t e
+    | A.Done blob_with_trailer ->
+      let blob, ticket = Resume.split_blob blob_with_trailer in
+      (* Session keys exist on a completed handshake. *)
+      let rms = Option.get (P.Attester.resumption_secret leg.A.proto) in
+      t.identity.Identity.ticket <- ticket;
+      t.identity.Identity.rms <- Some rms;
+      established t ~path:Full_handshake ~rms ~blob)
   | Sub_await ->
-    if Hier.check_ack ~k_sub:t.k_sub ~subclaim:t.outstanding frame then begin
-      t.subclaims_acked <- t.subclaims_acked + 1;
+    if Hier.check_ack ~k_sub:t.k_sub ~subclaim:t.link.A.outstanding frame then begin
+      t.report <- { t.report with subclaims_acked = t.report.subclaims_acked + 1 };
       t.subclaims <- List.tl t.subclaims;
       next_subclaim t
     end
     (* Anything else is late/duplicated traffic (the accept or msg3
        resent, an earlier ack duplicated): ignore, keep waiting. *)
 
-let on_deadline t =
-  if t.retries_left <= 0 then
-    abort t
-      (P.Timed_out
-         (match t.phase with
-         | Resume_await -> "mesh attester: awaiting resume reply"
-         | Full_await_msg1 -> "mesh attester: awaiting msg1"
-         | Full_await_msg3 -> "mesh attester: awaiting msg3"
-         | Sub_await -> "mesh attester: awaiting sub-claim ack"
-         | Term -> "mesh attester: finished"))
-  else begin
-    T.instant (tr t) T.Normal ~session:t.sid "mesh.attest.retransmit";
-    t.retries_left <- t.retries_left - 1;
-    t.retries <- t.retries + 1;
-    t.timeout_ns <- Int64.of_float (Int64.to_float t.timeout_ns *. t.retry.backoff);
-    if send t t.outstanding then arm t
-  end
+(** Launch one session. With a ticket in the identity the session
+    opens with resume0; otherwise it goes straight to msg0.
+    [subclaims] are attested in order once the session establishes. *)
+let start ?retry ?sid ?(subclaims = []) soc ~port ~random ~identity ~expected_verifier () =
+  let link = A.connect ?retry ?sid soc ~port in
+  let t =
+    {
+      link;
+      identity;
+      expected_verifier;
+      random;
+      subclaims;
+      stage = Term;
+      outcome = Pending;
+      full_restarts_left = full_restart_budget;
+      report = { path = Full_handshake; blob = ""; fell_back = false; subclaims_acked = 0 };
+      k_sub = "";
+      started_ns = Soc.now_ns soc;
+      established_ns = 0L;
+    }
+  in
+  link.A.on_frame <- handle_frame t;
+  link.A.on_failure <- on_failure t;
+  (match (identity.Identity.ticket, identity.Identity.rms) with
+  | Some ticket, Some rms ->
+    let nonce_a = random Resume.nonce_len in
+    let frame =
+      Soc.smc soc (fun () ->
+          Resume.build_resume0 ~rms ~attester_id:(Identity.attester_id identity) ~nonce_a ~ticket)
+    in
+    t.stage <- Resuming nonce_a;
+    ignore (A.transmit link frame ~awaiting:"attester: awaiting resume reply" : bool)
+  | _ -> start_full t);
+  t
 
 (** One scheduling quantum: consume every complete frame, then check
     the retransmission deadline. Terminal states are absorbing. *)
-let step t =
-  let rec drain () =
-    if t.outcome = Pending then
-      match Net.recv_frame_ex t.conn with
-      | Net.Frame frame ->
-        handle_frame t frame;
-        drain ()
-      | Net.Awaiting -> if Int64.compare (now t) t.deadline_ns >= 0 then on_deadline t
-      | Net.Closed_by_peer -> on_peer_closed t "mesh attester: stream ended mid-protocol"
-      | Net.Frame_violation e ->
-        if t.phase = Resume_await then fall_back t
-        else abort t (P.Malformed (Format.asprintf "frame: %a" Net.pp_frame_error e))
-  in
-  drain ()
+let step t = A.drain t.link
+
+let outcome t = t.outcome
+let retries t = t.link.A.retries
+let started_ns t = t.started_ns
+let established_ns t = t.established_ns

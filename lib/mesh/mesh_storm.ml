@@ -66,7 +66,7 @@ type config = {
   population : int; (* distinct attester identities *)
   seed : int64;
   profile : Net.fault_profile;
-  retry : Mesh_attester.retry;
+  retry : Watz.Attester_app.retry;
   quantum_ns : int; (* simulated time per tick *)
   max_ticks : int;
   mean_gap_ns : float; (* mean inter-arrival gap *)
@@ -84,7 +84,7 @@ let default_config =
     population = 16;
     seed = 0xec0be11L;
     profile = Net.lossy;
-    retry = Mesh_attester.default_retry;
+    retry = Watz.Attester_app.default_retry;
     quantum_ns = 1_000_000;
     max_ticks = 40_000;
     mean_gap_ns = 2_000_000.0;

@@ -415,23 +415,6 @@ let recv_frame_ex conn =
     end
   end
 
-(** [frame_ready conn] is the non-consuming poll behind cooperative
-    session scheduling: [true] exactly when {!recv_frame_ex} would
-    return anything other than [Awaiting] (a complete frame, a stream
-    end, or a length violation) — i.e. when a blocked session driver
-    has something to react to. Reads nothing and mutates nothing, so
-    polling it any number of times is observation-free. *)
-let frame_ready conn =
-  owner_check conn.net;
-  if available conn < 4 then at_eof conn
-  else begin
-    let peek = Buffer.sub conn.rx.dst.buf conn.rx.dst.read_pos 4 in
-    let r = Watz_util.Bytesio.Reader.of_string peek in
-    let len = Int32.to_int (Watz_util.Bytesio.Reader.u32 r) in
-    if len < 0 || len > max_frame_len then true
-    else available conn >= 4 + len || at_eof conn
-  end
-
 (** [recv_frame conn] is a complete frame, or [None] if one has not
     fully arrived yet (or never will: peer gone). Raises {!Bad_frame}
     on an absurd length prefix; state-machine drivers should use

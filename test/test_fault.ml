@@ -373,7 +373,7 @@ let test_backoff_resets_on_phase_advance () =
   in
   let r = App.default_retry in
   Alcotest.(check int64) "starts at the initial timeout" r.App.initial_timeout_ns
-    a.App.timeout_ns;
+    a.App.link.App.timeout_ns;
   (* The verifier never steps: each 50 ms jump is past any backed-off
      deadline (initial 4 ms, x1.6 per retry), so exactly one deadline
      fires per step. *)
@@ -384,17 +384,17 @@ let test_backoff_resets_on_phase_advance () =
     expected := Int64.of_float (Int64.to_float !expected *. r.App.backoff);
     Alcotest.(check int64)
       (Printf.sprintf "timeout backed off after retry %d" k)
-      !expected a.App.timeout_ns
+      !expected a.App.link.App.timeout_ns
   done;
   Alcotest.(check int) "three retransmissions" 3 (App.retries a);
-  Alcotest.(check int) "retry budget spent" (r.App.max_retries - 3) a.App.retries_left;
+  Alcotest.(check int) "retry budget spent" (r.App.max_retries - 3) a.App.link.App.retries_left;
   (* Now let the verifier answer: msg1 arrives, msg2 goes out, the
      phase advances - and the backoff state is fresh again. *)
   Watz.Verifier_app.step server;
   App.step a;
   Alcotest.(check bool) "advanced to Await_msg3" true (a.App.phase = App.Await_msg3);
-  Alcotest.(check int64) "timeout reset to initial" r.App.initial_timeout_ns a.App.timeout_ns;
-  Alcotest.(check int) "retry budget restored" r.App.max_retries a.App.retries_left;
+  Alcotest.(check int64) "timeout reset to initial" r.App.initial_timeout_ns a.App.link.App.timeout_ns;
+  Alcotest.(check int) "retry budget restored" r.App.max_retries a.App.link.App.retries_left;
   (* And the session still completes. *)
   Watz.Verifier_app.step server;
   App.step a;

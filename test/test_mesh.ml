@@ -409,6 +409,136 @@ let test_cache_expiry_and_invalidation () =
   check_int "expired counted" 1 (Cache.expired c)
 
 (* ------------------------------------------------------------------ *)
+(* The mesh attester driver against the live mesh verifier *)
+
+module Identity = Watz_mesh.Identity
+module Mesh_attester = Watz_mesh.Mesh_attester
+
+type rig = {
+  soc : Soc.t;
+  server : Mesh_verifier.t;
+  policy : P.Verifier.policy;
+  port : int;
+  random : int -> string;
+}
+
+let driver_claim = C.Sha256.digest "mesh-driver-app"
+
+(* One board hosting a mesh verifier that knows the storm's sub-claim
+   references and endorses [endorsed], over a perfect link. *)
+let make_rig ~endorsed name =
+  let soc = Soc.manufacture ~seed:(name ^ "-board") () in
+  (match Soc.boot soc with Ok _ -> () | Error _ -> Alcotest.fail "board failed to boot");
+  let policy =
+    P.Verifier.make_policy ~identity_seed:(name ^ "-verifier") ~endorsed_keys:endorsed
+      ~reference_claims:[ driver_claim ] ~secret_blob:"mesh driver secret" ()
+  in
+  let port = 7500 in
+  let server =
+    Mesh_verifier.start ~sub_refs:(Mesh_storm.sub_refs ()) ~stek_seed:(name ^ "-stek") soc ~port
+      ~policy ()
+  in
+  let rng = Prng.create 0xd71e5L in
+  { soc; server; policy; port; random = Prng.bytes rng }
+
+let launch ?(subclaims = []) r identity =
+  Mesh_attester.start ~sid:1 ~subclaims r.soc ~port:r.port ~random:r.random ~identity
+    ~expected_verifier:r.policy.P.Verifier.identity_pub ()
+
+let pending a = match Mesh_attester.outcome a with Mesh_attester.Pending -> true | _ -> false
+
+(* Storm ticks over the rig until [until] holds (checked after each). *)
+let drive r a ~until =
+  let ticks = ref 0 in
+  while (not (until ())) && !ticks < 5_000 do
+    incr ticks;
+    Net.tick r.soc.Soc.net;
+    Mesh_verifier.step r.server;
+    Mesh_attester.step a;
+    Watz_tz.Simclock.advance r.soc.Soc.clock 1_000_000
+  done
+
+let run_to_end r a =
+  drive r a ~until:(fun () -> not (pending a));
+  Mesh_attester.outcome a
+
+let expect_done what = function
+  | Mesh_attester.Done d -> d
+  | Mesh_attester.Pending -> Alcotest.failf "%s: still pending" what
+  | Mesh_attester.Aborted e -> Alcotest.failf "%s: aborted: %a" what P.pp_error e
+
+let server_counter r name =
+  Option.value ~default:0 (List.assoc_opt name (Mesh_verifier.counters r.server))
+
+let is_full (d : Mesh_attester.done_info) =
+  match d.Mesh_attester.path with Mesh_attester.Full_handshake -> true | Mesh_attester.Resumed -> false
+
+(* A resumed session that loses its connection while streaming
+   sub-claims re-runs the full handshake: it must then report the
+   full path (and so land in the full-handshake latency), not the
+   resume it started with. *)
+let test_restart_reports_full_path () =
+  let id = Identity.create ~seed:"mesh-restart-attester" ~claim:driver_claim in
+  let r = make_rig ~endorsed:[ Identity.public_key id ] "mesh-restart" in
+  let first = expect_done "first contact" (run_to_end r (launch r id)) in
+  check_bool "first contact runs the full handshake" true (is_full first);
+  check_bool "ticket harvested from msg3" true (Option.is_some id.Identity.ticket);
+  let subclaims = List.init 2 (fun j -> (Printf.sprintf "module-%d" j, Mesh_storm.sub_measurement j)) in
+  let a = launch ~subclaims r id in
+  (* Established and not done: the first sub-claim is outstanding. *)
+  drive r a ~until:(fun () -> Mesh_attester.established_ns a > 0L);
+  check_bool "awaiting a sub-claim ack" true (pending a);
+  check_int "resumed" 1 (server_counter r "resumes_accepted");
+  Mesh_verifier.restart r.server;
+  let d = expect_done "after the restart" (run_to_end r a) in
+  check_bool "path is the full handshake that established it" true (is_full d);
+  check_bool "no fallback: the resume was accepted" false d.Mesh_attester.fell_back;
+  check_int "both sub-claims acked" 2 d.Mesh_attester.subclaims_acked;
+  check_int "two full handshakes" 2 (server_counter r "sessions_completed")
+
+(* A ticket sealed under another verifier's STEK is rejected; the
+   session falls back to a full handshake on a fresh connection and
+   leaves with a ticket from this verifier. *)
+let test_foreign_ticket_falls_back () =
+  let id = Identity.create ~seed:"mesh-foreign-attester" ~claim:driver_claim in
+  let r = make_rig ~endorsed:[ Identity.public_key id ] "mesh-foreign" in
+  let foreign = Ticket.make ~seed:"some-other-verifier" in
+  let rms = r.random 16 in
+  let stale =
+    Ticket.mint foreign ~random:r.random ~now_ns:(Soc.now_ns r.soc) ~ttl_ns:10_000_000_000L
+      ~attester_id:(Identity.attester_id id) ~claim:driver_claim ~boot:(Identity.boot_digest id)
+      ~rms
+  in
+  id.Identity.ticket <- Some stale;
+  id.Identity.rms <- Some rms;
+  let d = expect_done "foreign ticket" (run_to_end r (launch r id)) in
+  check_bool "full handshake" true (is_full d);
+  check_bool "fell back" true d.Mesh_attester.fell_back;
+  check_int "rejected as an unknown key" 1 (server_counter r "resume_rejected.unknown_key");
+  check_int "fallback on a second connection" 2 (server_counter r "sessions_started");
+  match id.Identity.ticket with
+  | Some t -> check_bool "holds a new ticket" false (String.equal t stale)
+  | None -> Alcotest.fail "no ticket harvested from msg3"
+
+(* A key the policy does not endorse fails appraisal, and the verifier
+   closes the connection: the session re-attests from scratch exactly
+   [full_restart_budget] times, then aborts as a lost connection. *)
+let test_unendorsed_exhausts_restarts () =
+  let id = Identity.create ~seed:"mesh-unendorsed-attester" ~claim:driver_claim in
+  let stranger = Identity.create ~seed:"mesh-endorsed-stranger" ~claim:driver_claim in
+  let r = make_rig ~endorsed:[ Identity.public_key stranger ] "mesh-unendorsed" in
+  let a = launch r id in
+  (match run_to_end r a with
+  | Mesh_attester.Aborted (P.Connection_lost _) -> ()
+  | Mesh_attester.Aborted e -> Alcotest.failf "aborted with %a, not a lost connection" P.pp_error e
+  | Mesh_attester.Done _ -> Alcotest.fail "an unendorsed key established a session"
+  | Mesh_attester.Pending -> Alcotest.fail "still pending");
+  let attempts = 1 + Mesh_attester.full_restart_budget in
+  check_int "handshakes attempted" attempts (server_counter r "sessions_started");
+  check_int "each aborted at appraisal" attempts (server_counter r "sessions_aborted");
+  check_bool "no ticket" true (Option.is_none id.Identity.ticket)
+
+(* ------------------------------------------------------------------ *)
 (* Storm and fleet regressions *)
 
 (* The 256-session churn storm at the pinned seed: every session must
@@ -489,6 +619,12 @@ let suite =
         case "expiry and targeted invalidation" test_cache_expiry_and_invalidation;
         qcheck prop_cache_merge_order_free;
         qcheck prop_cache_export_fixpoint;
+      ] );
+    ( "mesh.attester",
+      [
+        case "restart after resume reports the full path" test_restart_reports_full_path;
+        case "foreign-STEK ticket falls back to a full handshake" test_foreign_ticket_falls_back;
+        case "unendorsed key exhausts the restart budget" test_unendorsed_exhausts_restarts;
       ] );
     ( "mesh.storm",
       [
