@@ -2,8 +2,8 @@
    figure of the paper's evaluation (§VI). Run with no argument for the
    full sweep, or with one of:
 
-     fig3 fig4 fig5 fig6 table2 table3 fig7 table4 fig8 fast-ablation attest-storm fleet
-     crypto micro
+     fig3 fig4 fig5 fig6 table2 table3 fig7 table4 fig8 fast-ablation attest-storm mesh
+     fleet crypto
 
    Absolute numbers differ from the paper (x86 host + an OCaml
    pre-decoded interpreter vs Cortex-A53 + LLVM AOT); EXPERIMENTS.md
@@ -24,15 +24,6 @@ module Stats = Watz_util.Stats
 let quick = Array.exists (fun a -> a = "--quick") Sys.argv
 let smoke = Array.exists (fun a -> a = "--smoke") Sys.argv
 let json_out = Array.exists (fun a -> a = "--json") Sys.argv
-
-(* Free-form annotation for the [record] target (--reason "..."). *)
-let reason =
-  let rec find = function
-    | "--reason" :: v :: _ -> Some v
-    | _ :: rest -> find rest
-    | [] -> None
-  in
-  find (Array.to_list Sys.argv)
 
 let booted seed =
   let soc = Soc.manufacture ~seed () in
@@ -613,7 +604,7 @@ let attest_storm () =
    churn (reboots, attestation-key rotation, STEK rotation, module
    updates) — comparing full-handshake vs 1-RTT-resume establishment
    latency, plus a federated 4-shard run whose merged evidence cache
-   must be independent of chunk arrival order. With --json, writes
+   must be independent of merge order. With --json, writes
    BENCH_mesh.json. Hard gates: every scenario completes >= 99%, and
    on the clean profile resumed p95 <= 0.5 x full p95 — resumption
    that isn't at least twice as fast at the tail is not paying for
@@ -688,19 +679,17 @@ let mesh () =
   let fr = MF.run ~config:fcfg () in
   let order_free = String.equal fr.MF.merge_digest fr.MF.merge_digest_reversed in
   Printf.printf
-    "  federation: %d shards | merged entries %d | chunks %d | order-free %b | cross-shard \
-     resumes %d\n"
-    fr.MF.shards fr.MF.merged_entries fr.MF.chunks_streamed order_free fr.MF.cross_resumes;
+    "  federation: %d shards | merged entries %d | order-free %b | cross-shard resumes %d\n"
+    fr.MF.shards fr.MF.merged_entries order_free fr.MF.cross_resumes;
   Buffer.add_string json
     (Printf.sprintf
-       "  \"federation\": { \"shards\": %d, \"merged_entries\": %d, \"chunks_streamed\": %d, \
-        \"merge_order_free\": %b, \"cross_resumes\": %d, \"wave2_full\": %d, \
-        \"wave2_fallbacks\": %d }\n"
-       fr.MF.shards fr.MF.merged_entries fr.MF.chunks_streamed order_free fr.MF.cross_resumes
+       "  \"federation\": { \"shards\": %d, \"merged_entries\": %d, \"merge_order_free\": \
+        %b, \"cross_resumes\": %d, \"wave2_full\": %d, \"wave2_fallbacks\": %d }\n"
+       fr.MF.shards fr.MF.merged_entries order_free fr.MF.cross_resumes
        fr.MF.wave2_full fr.MF.wave2_fallbacks);
   Buffer.add_string json "}\n";
   if not order_free then
-    failures := "federation: merged cache depends on chunk arrival order" :: !failures;
+    failures := "federation: merged cache depends on merge order" :: !failures;
   if fr.MF.cross_resumes = 0 then
     failures := "federation: no cross-shard resumption succeeded" :: !failures;
   if json_out then begin
@@ -1016,153 +1005,18 @@ let crypto () =
   in
   if below <> [] then exit 1
 
-(* ------------------------------------------------------------------ *)
-(* Bechamel micro-benchmarks: one Test.make per table/figure family. *)
-
-let micro () =
-  section "Bechamel micro-benchmarks";
-  let open Bechamel in
-  let soc = booted "bench-micro" in
-  let os = Soc.optee soc in
-  let priv, pub = Watz_crypto.Ecdsa.keypair_of_seed "bench" in
-  let signature = Watz_crypto.Ecdsa.sign priv "msg" in
-  let rng = Watz_util.Prng.create 1L in
-  let random n = Watz_util.Prng.bytes rng n in
-  let kp = Watz_crypto.Ecdh.generate ~random in
-  let keys = Watz_crypto.Kdf.session_of_shared (Watz_crypto.Sha256.digest "s") in
-  let payload = String.make 65536 'p' in
-  let service = Watz_attest.Service.install os in
-  let anchor = Watz_crypto.Sha256.digest "anchor" in
-  let claim = Watz_crypto.Sha256.digest "claim" in
-  let gemm_bytes = Watz_wasmc.Minic.compile_to_bytes (PB.find "gemm").PB.program in
-  let gemm_app = Wamr.load ~entry:None soc gemm_bytes in
-  let tests =
-    [
-      Test.make ~name:"fig3/world-switch" (Staged.stage (fun () -> Soc.smc soc (fun () -> ())));
-      Test.make ~name:"fig3/clock-read-sw"
-        (Staged.stage (fun () -> ignore (Optee.ree_time_ns os)));
-      Test.make ~name:"t3/sha256-64k"
-        (Staged.stage (fun () -> ignore (Watz_crypto.Sha256.digest payload)));
-      Test.make ~name:"t3/ecdsa-sign" (Staged.stage (fun () -> ignore (Watz_crypto.Ecdsa.sign priv "msg")));
-      Test.make ~name:"t3/ecdsa-verify"
-        (Staged.stage (fun () -> ignore (Watz_crypto.Ecdsa.verify pub ~msg:"msg" ~signature)));
-      Test.make ~name:"t3/ecdh-keygen"
-        (Staged.stage (fun () -> ignore (Watz_crypto.Ecdh.generate ~random)));
-      Test.make ~name:"t3/ecdh-shared"
-        (Staged.stage (fun () ->
-             ignore
-               (Watz_crypto.Ecdh.shared_secret ~priv:kp.Watz_crypto.Ecdh.priv
-                  ~peer:kp.Watz_crypto.Ecdh.pub)));
-      Test.make ~name:"t3/cmac-64k"
-        (Staged.stage (fun () -> ignore (Watz_crypto.Cmac.mac ~key:keys.Watz_crypto.Kdf.k_m payload)));
-      Test.make ~name:"fig7/aes-gcm-64k"
-        (Staged.stage (fun () ->
-             ignore
-               (Watz_crypto.Gcm.encrypt ~key:keys.Watz_crypto.Kdf.k_e ~iv:(String.make 12 'i')
-                  payload)));
-      Test.make ~name:"t4/issue-evidence"
-        (Staged.stage (fun () -> ignore (Watz_attest.Service.issue_evidence service ~anchor ~claim)));
-      Test.make ~name:"fig4/measure-64k" (Staged.stage (fun () -> ignore (Runtime.measure payload)));
-      Test.make ~name:"fig5/gemm-fast" (Staged.stage (fun () -> ignore (Wamr.invoke gemm_app "run" [])));
-    ]
-  in
-  let instances = Toolkit.Instance.[ monotonic_clock ] in
-  let cfg = Benchmark.cfg ~limit:200 ~quota:(Time.second 0.25) ~stabilize:false () in
-  let ols = Analyze.ols ~bootstrap:0 ~r_square:false ~predictors:[| Measure.run |] in
-  let pp_time ns =
-    if ns < 1e3 then Printf.sprintf "%.0f ns" ns
-    else if ns < 1e6 then Printf.sprintf "%.2f us" (ns /. 1e3)
-    else if ns < 1e9 then Printf.sprintf "%.2f ms" (ns /. 1e6)
-    else Printf.sprintf "%.3f s" (ns /. 1e9)
-  in
-  List.iter
-    (fun test ->
-      let results = Benchmark.all cfg instances test in
-      let stats = Analyze.all ols Toolkit.Instance.monotonic_clock results in
-      Hashtbl.iter
-        (fun name ols_result ->
-          match Analyze.OLS.estimates ols_result with
-          | Some [ est ] -> Printf.printf "  %-24s %s/run\n%!" name (pp_time est)
-          | Some _ | None -> Printf.printf "  %-24s (no estimate)\n" name)
-        stats)
-    tests
-
-(* ------------------------------------------------------------------ *)
-(* `bench record`: append the BENCH_*.json artifacts sitting in the
-   working directory to bench/history.yaml, stamped with the current
-   commit and an operator-supplied --reason, so scaling numbers stay
-   comparable across commits instead of being overwritten in place. *)
-
-let record () =
-  section "record - append BENCH_*.json artifacts to bench/history.yaml";
-  let commit =
-    try
-      let ic = Unix.open_process_in "git rev-parse --short HEAD 2>/dev/null" in
-      let line = try input_line ic with End_of_file -> "unknown" in
-      match Unix.close_process_in ic with Unix.WEXITED 0 -> line | _ -> "unknown"
-    with _ -> "unknown"
-  in
-  let date =
-    let t = Unix.gmtime (Unix.time ()) in
-    Printf.sprintf "%04d-%02d-%02dT%02d:%02d:%02dZ" (t.Unix.tm_year + 1900) (t.Unix.tm_mon + 1)
-      t.Unix.tm_mday t.Unix.tm_hour t.Unix.tm_min t.Unix.tm_sec
-  in
-  let files =
-    Sys.readdir "." |> Array.to_list
-    |> List.filter (fun f ->
-           String.length f > 6 && String.sub f 0 6 = "BENCH_" && Filename.check_suffix f ".json")
-    |> List.sort compare
-  in
-  if files = [] then
-    Printf.printf "  no BENCH_*.json artifacts in %s; run the json benches first\n"
-      (Sys.getcwd ())
-  else begin
-    let buf = Buffer.create 4096 in
-    Buffer.add_string buf
-      (Printf.sprintf "- commit: %s\n  date: %s\n  reason: %S\n  artifacts:\n" commit date
-         (Option.value ~default:"unspecified" reason));
-    List.iter
-      (fun f ->
-        Buffer.add_string buf (Printf.sprintf "    - file: %s\n      json: |\n" f);
-        let ic = open_in f in
-        (try
-           while true do
-             Buffer.add_string buf ("        " ^ input_line ic ^ "\n")
-           done
-         with End_of_file -> ());
-        close_in ic)
-      files;
-    let path = "bench/history.yaml" in
-    match
-      let fresh = not (Sys.file_exists path) in
-      let oc = open_out_gen [ Open_append; Open_creat ] 0o644 path in
-      if fresh then
-        output_string oc "# Benchmark history: one entry per `bench record` invocation.\n";
-      output_string oc (Buffer.contents buf);
-      close_out oc
-    with
-    | () -> Printf.printf "  recorded %d artifact(s) at commit %s -> %s\n" (List.length files) commit path
-    | exception Sys_error e -> Printf.printf "  cannot write %s (%s); run from the repo root\n" path e
-  end
-
 let all_targets =
   [
     ("fig3", fig3); ("fig4", fig4); ("fig5", fig5); ("fig6", fig6); ("table2", table2);
     ("table3", table3); ("fig7", fig7); ("table4", table4); ("fig8", fig8);
     ("fast-ablation", fast_ablation);
     ("attest-storm", attest_storm); ("mesh", mesh); ("fleet", fleet); ("crypto", crypto);
-    ("micro", micro);
   ]
-
-(* [record] is invocable by name but not part of the default sweep —
-   a bare `bench` run must not append to history as a side effect. *)
-let named_targets = all_targets @ [ ("record", record) ]
 
 let () =
   let requested =
     let rec strip = function
       | [] -> []
-      | "--reason" :: _ :: rest -> strip rest
       | a :: rest ->
         if a = "--quick" || a = "--smoke" || a = "--json" then strip rest else a :: strip rest
     in
@@ -1174,11 +1028,11 @@ let () =
     | names ->
       List.map
         (fun n ->
-          match List.assoc_opt n named_targets with
+          match List.assoc_opt n all_targets with
           | Some f -> (n, f)
           | None ->
             Printf.eprintf "unknown target %s; known: %s\n" n
-              (String.concat " " (List.map fst named_targets));
+              (String.concat " " (List.map fst all_targets));
             exit 2)
         names
   in

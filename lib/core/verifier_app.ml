@@ -86,7 +86,6 @@ type t = {
   batch_verify : bool; (* settle msg2 evidence signatures in batches *)
   resumption : resumption option;
   metrics : Metrics.t; (* server-side counters, dumped by the storm report *)
-  on_evict : int -> unit; (* observer for evicted session ids *)
   mutable served : int; (* completed attestations *)
   mutable rejected : int;
   mutable last_err : P.error option;
@@ -109,10 +108,8 @@ let session_timeout_ns = 2_000_000_000L
 
 (** Start listening. [soc] is the device hosting the verifier (the
     paper co-locates attester and verifier on one board). Stalled
-    sessions are evicted after 2 s of simulated-clock inactivity;
-    [on_evict] observes each eviction with the server-side session id
-    (the fleet forwards these to its supervisor queue). [resumption]
-    adds the mesh's resume and sub-claim paths.
+    sessions are evicted after 2 s of simulated-clock inactivity.
+    [resumption] adds the mesh's resume and sub-claim paths.
 
     With [batch_verify] (the default), each [step] collects the pending
     msg2 evidence-signature checks across every session in the pass and
@@ -121,7 +118,7 @@ let session_timeout_ns = 2_000_000_000L
     inversions across sessions. The batch settle is simulated-time
     neutral: world transitions and spans per appraisal are unchanged,
     only wall-clock work shrinks. *)
-let start ?(batch_verify = true) ?(on_evict = fun _ -> ()) ?resumption soc ~port ~policy =
+let start ?(batch_verify = true) ?resumption soc ~port ~policy =
   ignore (Watz_tz.Net.listen soc.Watz_tz.Soc.net ~port);
   (* Pay the one-time crypto table costs (fixed-base comb, endorsed-key
      windows and combs, identity encoding) at startup, not inside the
@@ -139,7 +136,6 @@ let start ?(batch_verify = true) ?(on_evict = fun _ -> ()) ?resumption soc ~port
     next_id = 0;
     batch_verify;
     resumption;
-    on_evict;
     metrics = Metrics.create ();
     served = 0;
     rejected = 0;
@@ -403,7 +399,6 @@ let step t =
         if state.completed then drop_session t state "sessions_closed"
         else begin
           Metrics.incr t.metrics "sessions_evicted";
-          t.on_evict state.id;
           abort t state (P.Timed_out "verifier: session stalled")
         end
     | Watz_tz.Net.Closed_by_peer ->

@@ -15,22 +15,15 @@ let gmul a b =
 
 (* The S-box is the GF inverse followed by the FIPS affine transform
    b ^ rot1(b) ^ rot2(b) ^ rot3(b) ^ rot4(b) ^ 0x63. *)
-let sbox, inv_sbox =
+let sbox =
   let inv = Array.make 256 0 in
   for a = 1 to 255 do
     for b = 1 to 255 do
       if gmul a b = 1 then inv.(a) <- b
     done
   done;
-  let s = Array.make 256 0 and si = Array.make 256 0 in
   let rotl8 x n = ((x lsl n) lor (x lsr (8 - n))) land 0xff in
-  for a = 0 to 255 do
-    let b = inv.(a) in
-    let v = b lxor rotl8 b 1 lxor rotl8 b 2 lxor rotl8 b 3 lxor rotl8 b 4 lxor 0x63 in
-    s.(a) <- v;
-    si.(v) <- a
-  done;
-  (s, si)
+  Array.map (fun b -> b lxor rotl8 b 1 lxor rotl8 b 2 lxor rotl8 b 3 lxor rotl8 b 4 lxor 0x63) inv
 
 type key = { rounds : int; rk : int array (* (rounds+1) * 16 bytes *) }
 
@@ -85,9 +78,9 @@ let add_round_key state rk round =
     state.(i) <- state.(i) lxor rk.((16 * round) + i)
   done
 
-let sub_bytes state box =
+let sub_bytes state =
   for i = 0 to 15 do
-    state.(i) <- box.(state.(i))
+    state.(i) <- sbox.(state.(i))
   done
 
 let shift_rows state =
@@ -96,14 +89,6 @@ let shift_rows state =
     let row = Array.init 4 (fun c -> state.((4 * c) + r)) in
     for c = 0 to 3 do
       state.((4 * c) + r) <- row.((c + r) mod 4)
-    done
-  done
-
-let inv_shift_rows state =
-  for r = 1 to 3 do
-    let row = Array.init 4 (fun c -> state.((4 * c) + r)) in
-    for c = 0 to 3 do
-      state.((4 * c) + r) <- row.((c - r + 4) mod 4)
     done
   done
 
@@ -117,16 +102,6 @@ let mix_columns state =
     state.((4 * c) + 3) <- (xtime a0 lxor a0) lxor a1 lxor a2 lxor xtime a3
   done
 
-let inv_mix_columns state =
-  for c = 0 to 3 do
-    let a0 = state.(4 * c) and a1 = state.((4 * c) + 1) in
-    let a2 = state.((4 * c) + 2) and a3 = state.((4 * c) + 3) in
-    state.(4 * c) <- gmul a0 14 lxor gmul a1 11 lxor gmul a2 13 lxor gmul a3 9;
-    state.((4 * c) + 1) <- gmul a0 9 lxor gmul a1 14 lxor gmul a2 11 lxor gmul a3 13;
-    state.((4 * c) + 2) <- gmul a0 13 lxor gmul a1 9 lxor gmul a2 14 lxor gmul a3 11;
-    state.((4 * c) + 3) <- gmul a0 11 lxor gmul a1 13 lxor gmul a2 9 lxor gmul a3 14
-  done
-
 let state_of_block block =
   if String.length block <> 16 then invalid_arg "Aes: block must be 16 bytes";
   Array.init 16 (fun i -> Char.code block.[i])
@@ -137,26 +112,12 @@ let encrypt_block key block =
   let state = state_of_block block in
   add_round_key state key.rk 0;
   for round = 1 to key.rounds - 1 do
-    sub_bytes state sbox;
+    sub_bytes state;
     shift_rows state;
     mix_columns state;
     add_round_key state key.rk round
   done;
-  sub_bytes state sbox;
+  sub_bytes state;
   shift_rows state;
   add_round_key state key.rk key.rounds;
-  block_of_state state
-
-let decrypt_block key block =
-  let state = state_of_block block in
-  add_round_key state key.rk key.rounds;
-  for round = key.rounds - 1 downto 1 do
-    inv_shift_rows state;
-    sub_bytes state inv_sbox;
-    add_round_key state key.rk round;
-    inv_mix_columns state
-  done;
-  inv_shift_rows state;
-  sub_bytes state inv_sbox;
-  add_round_key state key.rk 0;
   block_of_state state

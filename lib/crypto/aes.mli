@@ -2,9 +2,9 @@
 
     The S-box is derived algebraically from the GF(2{^8}) inverse and
     the FIPS affine transform rather than transcribed, and checked by
-    the FIPS 197 known-answer tests. Only block encryption is exposed;
-    every mode used by WaTZ (CTR, GCM, CMAC) needs just the forward
-    direction — decryption is provided for completeness and tests. *)
+    the FIPS 197 known-answer tests. Only block encryption is
+    provided: every mode used by WaTZ (CTR, GCM, CMAC) needs just the
+    forward direction. *)
 
 type key
 
@@ -15,4 +15,3 @@ val expand_key : string -> key
 val encrypt_block : key -> string -> string
 (** 16-byte block in, 16-byte block out. *)
 
-val decrypt_block : key -> string -> string

@@ -3,18 +3,17 @@
 
     Each shard runs its own board, network and {!Mesh_verifier} in its
     own domain, exactly like {!Watz.Fleet} — nothing mutable crosses a
-    domain boundary except through the bounded queue. The run has two
-    waves:
+    domain boundary; each shard hands its report back through
+    [Domain.join]. The run has two waves:
 
     {e Wave 1 (populate)}: every shard handles its own attester
-    population over full handshakes, streaming its evidence-cache
-    export to the supervisor in chunks over {!Watz.Fleet.Bqueue} as
-    each shard finishes. The supervisor folds the chunks into a merged
-    cache with {!Cache.merge_into} — a per-key max under a total
-    order, so the merge is commutative, associative and idempotent:
-    whatever order the shards' chunks arrive in, the merged cache is
-    byte-identical (the report carries digests of an arrival-order and
-    a reversed-order merge to prove it).
+    population over full handshakes. Once every shard has joined, the
+    supervisor folds their evidence-cache exports, in shard order, into
+    a merged cache with {!Cache.merge_into} — a per-key max under a
+    total order, so the merge is commutative, associative and
+    idempotent: whatever order the exports are folded in, the merged
+    cache is byte-identical (the report carries digests of a
+    shard-order and a fully reversed merge to prove it).
 
     {e Wave 2 (migrate)}: shard [k] is handed shard [(k+1) mod n]'s
     attesters — tickets, resumption secrets and all — plus the merged
@@ -28,7 +27,6 @@
 
 module Net = Watz_tz.Net
 module Metrics = Watz_obs.Metrics
-module Bqueue = Watz.Fleet.Bqueue
 
 type config = {
   shards : int;
@@ -55,9 +53,8 @@ type report = {
   shards : int;
   outcomes : shard_outcome array;
   merged_entries : int;
-  merge_digest : string; (* arrival-order merge *)
+  merge_digest : string; (* shard-order merge *)
   merge_digest_reversed : string; (* reversed-order merge; equal ⇒ order-free *)
-  chunks_streamed : int;
   cross_resumes : int; (* wave-2 sessions established via 1-RTT resume *)
   wave2_full : int;
   wave2_fallbacks : int;
@@ -84,57 +81,22 @@ let run ?(config = default_config) () =
   let cfg = config in
   let n = cfg.shards in
   let stek_seed = fleet_stek cfg in
-  (* ---- Wave 1: populate, streaming cache exports to the supervisor. *)
-  let q : Cache.entry list Bqueue.t = Bqueue.create ~capacity:64 ~producers:n in
+  (* ---- Wave 1: populate; wave 2 needs every shard's cache export. *)
   let spawn1 k =
     Domain.spawn (fun () ->
-        Fun.protect
-          ~finally:(fun () -> Bqueue.producer_done q)
-          (fun () ->
-            Mesh_storm.run
-              ~config:(shard_storm_config cfg ~wave:0 k)
-              ~stek_seed
-              ~on_cache_export:(fun entries ->
-                (* Stream in bounded chunks so a big shard cannot wedge
-                   the queue with one giant item. *)
-                let rec chunks = function
-                  | [] -> ()
-                  | l ->
-                    let rec take i = function
-                      | x :: tl when i < 16 ->
-                        let c, rest = take (i + 1) tl in
-                        (x :: c, rest)
-                      | rest -> ([], rest)
-                    in
-                    let c, rest = take 0 l in
-                    Bqueue.push q c;
-                    chunks rest
-                in
-                chunks entries)
-              ()))
+        Mesh_storm.run ~config:(shard_storm_config cfg ~wave:0 k) ~stek_seed ())
   in
-  let domains1 = List.init n spawn1 in
-  (* Drain while the shards run — the queue is bounded. *)
+  let wave1 = Array.of_list (List.map Domain.join (List.init n spawn1)) in
+  let entries =
+    List.concat_map (fun (r : Mesh_storm.report) -> r.Mesh_storm.cache_export) (Array.to_list wave1)
+  in
   let merged = Cache.create ~ttl_ns:Int64.max_int () in
-  let arrived = ref [] in
-  let chunks_streamed = ref 0 in
-  let rec drain () =
-    match Bqueue.pop q with
-    | None -> ()
-    | Some chunk ->
-      incr chunks_streamed;
-      Cache.merge_into merged chunk;
-      arrived := chunk :: !arrived;
-      drain ()
-  in
-  drain ();
-  let wave1 = Array.of_list (List.map Domain.join domains1) in
+  Cache.merge_into merged entries;
   let merge_digest = Cache.digest merged in
-  (* Replay the merge with chunks in reverse arrival order: the digest
-     must not move, or the federation result would depend on thread
-     scheduling. *)
+  (* Replay the merge over the same entries in reverse: the digest must
+     not move, or the federation result would depend on merge order. *)
   let reversed = Cache.create ~ttl_ns:Int64.max_int () in
-  List.iter (fun chunk -> Cache.merge_into reversed chunk) !arrived;
+  Cache.merge_into reversed (List.rev entries);
   let merge_digest_reversed = Cache.digest reversed in
   let seed_entries = Cache.export merged in
   (* ---- Wave 2: migrate each population one shard over and resume. *)
@@ -155,7 +117,6 @@ let run ?(config = default_config) () =
     merged_entries = List.length seed_entries;
     merge_digest;
     merge_digest_reversed;
-    chunks_streamed = !chunks_streamed;
     cross_resumes = sum (fun r -> r.Mesh_storm.completed_resumed);
     wave2_full = sum (fun r -> r.Mesh_storm.completed_full);
     wave2_fallbacks = sum (fun r -> r.Mesh_storm.fallbacks);
@@ -164,8 +125,7 @@ let run ?(config = default_config) () =
 
 let pp_report ppf r =
   Format.fprintf ppf
-    "fleet: %d shards | merged cache %d entries (%d chunks) | merge order-free %b" r.shards
-    r.merged_entries r.chunks_streamed
+    "fleet: %d shards | merged cache %d entries | merge order-free %b" r.shards r.merged_entries
     (String.equal r.merge_digest r.merge_digest_reversed);
   Format.fprintf ppf "@\n  wave2: cross-shard resumes %d | full %d | fallbacks %d" r.cross_resumes
     r.wave2_full r.wave2_fallbacks;

@@ -97,11 +97,12 @@ let default_config =
   }
 
 type report = {
-  launched : int;
+  sessions : int; (* configured arrivals *)
+  launched : int; (* arrivals launched before the hard stop *)
   completed_resumed : int; (* established via the 1-RTT resume *)
   completed_full : int; (* established via msg0–msg3 (fallbacks included) *)
   fallbacks : int; (* sessions that tried to resume and fell back *)
-  aborted : int;
+  aborted : int; (* launched - completed *)
   subclaims_acked : int;
   retries : int;
   ticks : int;
@@ -144,12 +145,9 @@ let sub_ref_count = 4
 let sub_refs () = List.init sub_ref_count sub_measurement
 
 (** Run one mesh storm. [identities] (with any tickets they carry) and
-    a pre-seeded cache can be supplied by the federation layer;
-    [on_cache_export] observes the final cache export (the fleet
-    streams it to the supervisor). *)
+    a pre-seeded cache can be supplied by the federation layer. *)
 let run ?(config = default_config) ?identities ?(stek_seed = "mesh-stek")
-    ?(cache_seed = ([] : Cache.entry list)) ?(on_cache_export = fun (_ : Cache.entry list) -> ())
-    () =
+    ?(cache_seed = ([] : Cache.entry list)) () =
   let cfg = config in
   let rng = Prng.create cfg.seed in
   let soc = Soc.manufacture ~seed:(Printf.sprintf "mesh-board-%Ld" cfg.seed) () in
@@ -269,14 +267,17 @@ let run ?(config = default_config) ?identities ?(stek_seed = "mesh-stek")
           Histogram.record full_latency lat)
       | _ -> ())
     outcomes;
+  (* Arrivals the hard stop cut off before launch count as pending;
+     prepended, so a run that launched everything copies nothing. *)
   let aborts =
     Watz.Storm.tally_aborts
-      (List.map
-         (function
-           | _, Mesh_attester.Done _ -> `Done
-           | _, Mesh_attester.Aborted e -> `Aborted e
-           | _, Mesh_attester.Pending -> `Pending)
-         outcomes)
+      (List.init (cfg.sessions - !launched) (fun _ -> `Pending)
+      @ List.map
+          (function
+            | _, Mesh_attester.Done _ -> `Done
+            | _, Mesh_attester.Aborted e -> `Aborted e
+            | _, Mesh_attester.Pending -> `Pending)
+          outcomes)
   in
   let counters = Mesh_verifier.counters server in
   let counter name = Option.value ~default:0 (List.assoc_opt name counters) in
@@ -291,9 +292,8 @@ let run ?(config = default_config) ?identities ?(stek_seed = "mesh-stek")
       counters
   in
   let cache = Mesh_verifier.cache server in
-  let export = Cache.export cache in
-  on_cache_export export;
   {
+    sessions = cfg.sessions;
     launched = !launched;
     completed_resumed = !completed_resumed;
     completed_full = !completed_full;
@@ -315,18 +315,18 @@ let run ?(config = default_config) ?identities ?(stek_seed = "mesh-stek")
     faults = Net.fault_counts soc.Soc.net;
     server = counters;
     metrics = Mesh_verifier.metrics server;
-    cache_export = export;
+    cache_export = Cache.export cache;
     identities;
   }
 
 let completion_rate r =
-  if r.launched = 0 then 1.0
-  else float_of_int (r.completed_resumed + r.completed_full) /. float_of_int r.launched
+  if r.sessions = 0 then 1.0
+  else float_of_int (r.completed_resumed + r.completed_full) /. float_of_int r.sessions
 
 let pp_report ppf r =
   Format.fprintf ppf
     "sessions %d | resumed %d | full %d | fallbacks %d | aborted %d | retries %d | ticks %d"
-    r.launched r.completed_resumed r.completed_full r.fallbacks r.aborted r.retries r.ticks;
+    r.sessions r.completed_resumed r.completed_full r.fallbacks r.aborted r.retries r.ticks;
   Format.fprintf ppf "@\n  cache: hits %d | misses %d | hit-rate %.1f%% | tickets minted %d"
     r.cache_hits r.cache_misses (100.0 *. r.cache_hit_rate) r.tickets_minted;
   let pp_lat name h =

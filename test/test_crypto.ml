@@ -160,12 +160,7 @@ let hmac_vectors () =
 let aes_vectors () =
   let run keylen key pt expected =
     let k = Aes.expand_key (hex key) in
-    let ct = Aes.encrypt_block k (hex pt) in
-    check_hex (Printf.sprintf "aes-%d encrypt" keylen) expected ct;
-    Alcotest.(check string)
-      (Printf.sprintf "aes-%d decrypt" keylen)
-      pt
-      (hex_of (Aes.decrypt_block k ct))
+    check_hex (Printf.sprintf "aes-%d encrypt" keylen) expected (Aes.encrypt_block k (hex pt))
   in
   run 128 "000102030405060708090a0b0c0d0e0f" "00112233445566778899aabbccddeeff"
     "69c4e0d86a7b0430d8cdb78070b4c55a";
@@ -177,13 +172,6 @@ let aes_vectors () =
 let aes_bad_key () =
   Alcotest.check_raises "15-byte key" (Invalid_argument "Aes.expand_key: key must be 16, 24 or 32 bytes")
     (fun () -> ignore (Aes.expand_key (String.make 15 'k')))
-
-let qcheck_aes_roundtrip =
-  QCheck.Test.make ~name:"aes: decrypt . encrypt = id" ~count:100
-    QCheck.(pair (string_of_size (Gen.return 16)) (string_of_size (Gen.return 16)))
-    (fun (key, block) ->
-      let k = Aes.expand_key key in
-      String.equal block (Aes.decrypt_block k (Aes.encrypt_block k block)))
 
 (* ------------------------------------------------------------------ *)
 (* GCM (NIST test cases) *)
@@ -896,7 +884,7 @@ let suite =
       ] );
     ("crypto.hmac", [ case "RFC 4231 vectors" hmac_vectors ]);
     ( "crypto.aes",
-      [ case "FIPS 197 vectors" aes_vectors; case "bad key size" aes_bad_key; q qcheck_aes_roundtrip ]
+      [ case "FIPS 197 vectors" aes_vectors; case "bad key size" aes_bad_key ]
     );
     ( "crypto.gcm",
       [

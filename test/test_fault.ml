@@ -219,6 +219,16 @@ let test_storm_perfect_is_clean () =
   Alcotest.(check int) "no retries needed" 0 r.Storm.retries;
   Alcotest.(check int) "no faults" 0 (List.fold_left (fun a (_, v) -> a + v) 0 r.Storm.faults)
 
+(* The hard stop cuts off launches too: every session it stops, launched
+   or not, is in the abort histogram, so the histogram sums to
+   [aborted]. *)
+let test_storm_hard_stop_tallies_unlaunched () =
+  let config = { Storm.default_config with Storm.sessions = 32; max_ticks = 2 } in
+  let r = Storm.run ~config () in
+  Alcotest.(check int) "aborted = sessions - completed" (32 - r.Storm.completed) r.Storm.aborted;
+  Alcotest.(check int) "abort histogram sums to aborted" r.Storm.aborted
+    (List.fold_left (fun a (_, v) -> a + v) 0 r.Storm.aborts)
+
 (* Batch verification's contract: on a fault-free link a batched
    server reports exactly what inline appraisal reports. (Under fault
    injection the two legitimately diverge: the link draws its seeded
@@ -469,6 +479,7 @@ let suite =
         case "perfect profile: batched verify reports as inline"
           test_batch_verify_matches_inline_on_perfect_link;
         case "backoff resets on phase advance" test_backoff_resets_on_phase_advance;
+        case "hard stop tallies unlaunched sessions" test_storm_hard_stop_tallies_unlaunched;
         qcheck prop_codec_roundtrip_chunked;
         qcheck prop_truncate_is_clean_prefix;
         qcheck prop_non_corrupting_profiles_converge;

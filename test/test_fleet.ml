@@ -1,8 +1,8 @@
-(* The domain-sharded verifier fleet: sharding arithmetic, the bounded
-   supervisor queue under real domains, the determinism contract
-   (fixed seed => byte-identical merged metrics and trace), lossy
-   completion with exact queue accounting, and the network layer's
-   single-domain ownership rule. *)
+(* The domain-sharded verifier fleet: sharding arithmetic, the
+   determinism contract (fixed seed => byte-identical merged metrics and
+   trace), lossy completion with the joined per-shard reports agreeing
+   with the merged registry, and the network layer's single-domain
+   ownership rule. *)
 
 module Fleet = Watz.Fleet
 module Storm = Watz.Storm
@@ -40,39 +40,6 @@ let test_shard_split () =
   let all = List.concat_map sids [ 0; 1; 2 ] in
   Alcotest.(check int) "8 globally unique sids" 8 (List.length (List.sort_uniq compare all))
 
-(* --- the bounded queue under real domains --------------------------- *)
-
-let test_bqueue_backpressure_and_drain () =
-  (* Capacity 4 with 2 x 50 pushes forces producers to block on the
-     consumer; per-producer FIFO must survive, and pop must turn into
-     [None] exactly once both producers retired and the queue drained. *)
-  let q = Fleet.Bqueue.create ~capacity:4 ~producers:2 in
-  let producer k () =
-    Fun.protect
-      ~finally:(fun () -> Fleet.Bqueue.producer_done q)
-      (fun () ->
-        for i = 0 to 49 do
-          Fleet.Bqueue.push q (k, i)
-        done)
-  in
-  let d0 = Domain.spawn (producer 0) and d1 = Domain.spawn (producer 1) in
-  let seen = ref 0 in
-  let next = [| 0; 0 |] in
-  let rec drain () =
-    match Fleet.Bqueue.pop q with
-    | Some (k, i) ->
-      incr seen;
-      Alcotest.(check int) (Printf.sprintf "producer %d FIFO" k) next.(k) i;
-      next.(k) <- i + 1;
-      drain ()
-    | None -> ()
-  in
-  drain ();
-  Domain.join d0;
-  Domain.join d1;
-  Alcotest.(check int) "every item delivered" 100 !seen;
-  Alcotest.(check bool) "drained queue stays terminal" true (Fleet.Bqueue.pop q = None)
-
 (* --- determinism: fixed seed => byte-identical merged artifacts ------ *)
 
 let test_fixed_seed_byte_identity () =
@@ -101,9 +68,9 @@ let test_minor_heap_byte_identity () =
   Alcotest.(check string) "metrics identical under GC tuning" m m_gc;
   Alcotest.(check string) "trace identical under GC tuning" t t_gc
 
-(* --- lossy completion + queue accounting ----------------------------- *)
+(* --- lossy completion + joined reports ------------------------------- *)
 
-let test_lossy_completion_and_accounting () =
+let test_lossy_completion_and_joined_reports () =
   let cfg = config ~shards:4 ~sessions:16 () in
   let r = Fleet.run ~config:cfg () in
   Alcotest.(check int) "shards" 4 r.Fleet.shards;
@@ -112,18 +79,16 @@ let test_lossy_completion_and_accounting () =
     (Format.asprintf "completion %.1f%% >= 99%%" (100.0 *. Fleet.completion_rate r))
     true
     (Fleet.completion_rate r >= 0.99);
-  (* Every session terminates exactly once over the supervisor queue. *)
-  Alcotest.(check int) "one termination event per session" r.Fleet.sessions
-    (r.Fleet.queue_done + r.Fleet.queue_aborted);
-  Alcotest.(check int) "queue completions match the reports" r.Fleet.completed
-    r.Fleet.queue_done;
-  Alcotest.(check int) "queue aborts match the reports" r.Fleet.aborted r.Fleet.queue_aborted;
-  (* The merged registry agrees with the summed per-shard reports. *)
+  (* The merged registry agrees with the joined per-shard reports. *)
+  Alcotest.(check (list int)) "per-shard reports in shard order" [ 0; 1; 2; 3 ]
+    (List.map fst r.Fleet.per_shard);
+  let shard_sum f = List.fold_left (fun acc (_, s) -> acc + f s) 0 r.Fleet.per_shard in
   let c name = M.Counter.get (M.counter r.Fleet.metrics name) in
-  Alcotest.(check int) "fleet.completed merged" r.Fleet.completed (c "fleet.completed");
-  Alcotest.(check int) "verifier agrees across shards" r.Fleet.completed
+  Alcotest.(check int) "per-shard sessions sum to 16" 16 (shard_sum (fun s -> s.Storm.sessions));
+  let completed = shard_sum (fun s -> s.Storm.completed) in
+  Alcotest.(check int) "per-shard completions = fleet.completed" completed (c "fleet.completed");
+  Alcotest.(check int) "per-shard completions = server.sessions_completed" completed
     (c "server.sessions_completed");
-  Alcotest.(check int) "per-shard reports present" 4 (List.length r.Fleet.per_shard);
   Alcotest.(check bool) "faults were injected" true (c "net.drop" + c "net.delay" > 0)
 
 (* --- Net single-domain ownership ------------------------------------- *)
@@ -172,10 +137,9 @@ let suite =
     ( "fleet",
       [
         case "shard split, seeds, sid disjointness" test_shard_split;
-        case "bounded queue: backpressure, FIFO, termination" test_bqueue_backpressure_and_drain;
         case "fixed seed: merged artifacts byte-identical" test_fixed_seed_byte_identity;
         case "minor heap tuning: artifacts byte-identical" test_minor_heap_byte_identity;
-        case "lossy 4x4: completion + queue accounting" test_lossy_completion_and_accounting;
+        case "lossy 4x4: completion + joined reports" test_lossy_completion_and_joined_reports;
         case "net enforces single-domain ownership" test_net_domain_ownership;
         case "GC words per session are per-domain" test_gc_words_per_domain;
       ] );

@@ -568,6 +568,27 @@ let test_storm_churn_regression () =
     (r.Mesh_storm.completed_resumed
     <= counter "resumes_accepted" + counter "retransmits_answered")
 
+(* Arrivals the hard stop cuts off before launch stay in the
+   denominator: a storm that launched nothing completed nothing. *)
+let test_storm_hard_stop_counts_unlaunched () =
+  let config =
+    {
+      Mesh_storm.default_config with
+      Mesh_storm.sessions = 8;
+      mean_gap_ns = 1e9;
+      max_ticks = 10;
+      profile = Net.perfect;
+      churn = Mesh_storm.no_churn;
+    }
+  in
+  let r = Mesh_storm.run ~config () in
+  check_int "configured arrivals" 8 r.Mesh_storm.sessions;
+  check_int "launched" 0 r.Mesh_storm.launched;
+  check_int "aborted = launched - completed" 0 r.Mesh_storm.aborted;
+  check_bool "completion rate 0" true (Mesh_storm.completion_rate r = 0.0);
+  Alcotest.(check (list (pair string int)))
+    "unlaunched arrivals tallied" [ ("still pending at max_ticks", 8) ] r.Mesh_storm.aborts
+
 let test_fleet_merge_order_free () =
   let config =
     {
@@ -579,7 +600,7 @@ let test_fleet_merge_order_free () =
     }
   in
   let r = Mesh_fleet.run ~config () in
-  check_bool "merged cache digest independent of chunk arrival order" true
+  check_bool "merged cache digest independent of merge order" true
     (String.equal r.Mesh_fleet.merge_digest r.Mesh_fleet.merge_digest_reversed);
   check_bool "wave 2 resumes across shards" true (r.Mesh_fleet.cross_resumes > 0);
   Array.iter
@@ -631,5 +652,6 @@ let suite =
         seeded "256-session churn storm replays pinned counters" (fun _ ->
             test_storm_churn_regression ());
         case "federated merge is order-free" test_fleet_merge_order_free;
+        case "hard stop counts unlaunched arrivals" test_storm_hard_stop_counts_unlaunched;
       ] );
   ]
