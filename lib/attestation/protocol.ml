@@ -100,10 +100,10 @@ let anchor_of ~ga ~gv = C.Sha256.digest (ga ^ gv)
 let derive_session meter shared =
   timed meter Sym (fun () -> C.Kdf.session_of_shared shared)
 
-let mac meter key content = timed meter Sym (fun () -> C.Cmac.mac ~key content)
+let mac meter key content = timed meter Sym (fun () -> C.Cmac.mac_with key content)
 
 let check_mac meter key ~tag content ~where =
-  if timed meter Sym (fun () -> C.Cmac.verify ~key ~tag content) then Ok ()
+  if timed meter Sym (fun () -> C.Cmac.verify_with key ~tag content) then Ok ()
   else Error (Bad_mac where)
 
 let decode_point ~what raw =
@@ -211,7 +211,7 @@ module Attester = struct
         | None -> Error (Malformed "msg1: degenerate session key")
         | Some shared ->
           let session = derive_session t.meter shared in
-          let* () = check_mac t.meter session.C.Kdf.k_m ~tag content1 ~where:"msg1" in
+          let* () = check_mac t.meter session.C.Kdf.mac_key ~tag content1 ~where:"msg1" in
           (* The verifier identity must match the key hardcoded in the
              (measured) application: a swapped key would change the
              measurement and be caught by attestation. *)
@@ -249,7 +249,7 @@ module Attester = struct
       tspan t.trace t.sid "ra.msg2_build" (fun () ->
           let ga_raw = timed t.meter Mem (fun () -> C.P256.encode t.keys.C.Ecdh.pub) in
           let content2 = ga_raw ^ evidence in
-          let tag2 = mac t.meter session.C.Kdf.k_m content2 in
+          let tag2 = mac t.meter session.C.Kdf.mac_key content2 in
           t.state <- Expect_msg3;
           let m2 = content2 ^ tag2 in
           t.msg2_cache <- Some m2;
@@ -395,7 +395,7 @@ module Verifier = struct
               timed meter Asym (fun () -> C.Ecdsa.sign policy.identity_priv (gv_raw ^ raw)))
         in
         let content1 = gv_raw ^ v_raw ^ signature in
-        let tag = mac meter session_keys.C.Kdf.k_m content1 in
+        let tag = mac meter session_keys.C.Kdf.mac_key content1 in
         let m1 = content1 ^ tag in
         let session =
           {
@@ -447,7 +447,7 @@ module Verifier = struct
       let content2 = String.sub raw 0 (String.length raw - mac_len) in
       let tag = String.sub raw (String.length raw - mac_len) mac_len in
       let* () =
-        check_mac session.meter session.session_keys.C.Kdf.k_m ~tag content2 ~where:"msg2"
+        check_mac session.meter session.session_keys.C.Kdf.mac_key ~tag content2 ~where:"msg2"
       in
       let ga_raw = String.sub content2 0 point_len in
       let evidence_raw = String.sub content2 point_len (String.length content2 - point_len) in
@@ -523,7 +523,7 @@ module Verifier = struct
       else begin
         let content2 = String.sub raw 0 (String.length raw - mac_len) in
         let tag = String.sub raw (String.length raw - mac_len) mac_len in
-        if not (C.Cmac.verify ~key:session.session_keys.C.Kdf.k_m ~tag content2) then None
+        if not (C.Cmac.verify_with session.session_keys.C.Kdf.mac_key ~tag content2) then None
         else begin
           let ga_raw = String.sub content2 0 point_len in
           let evidence_raw = String.sub content2 point_len (String.length content2 - point_len) in

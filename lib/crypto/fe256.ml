@@ -377,6 +377,36 @@ let zero _ = Array.make limbs 0
 let one r = Array.copy r.one_m
 let copy = Array.copy
 
+(* Element i of a vector is limbs [9i, 9i + 9) of one flat array. *)
+type vec = int array
+
+let vec n = Array.make (limbs * n) 0
+let length v = Array.length v / limbs
+
+(* Explicit int loops: [Array.blit] would not know the arrays hold only
+   ints and would go through the write barrier for every limb of a
+   vector that lives in the major heap. *)
+let check v i = if i < 0 || limbs * (i + 1) > Array.length v then invalid_arg "Fe256: vector index"
+
+let get_into dst v i =
+  check v i;
+  let o = limbs * i in
+  for k = 0 to limbs - 1 do
+    s dst k (g v (o + k))
+  done
+
+let get v i =
+  let d = Array.make limbs 0 in
+  get_into d v i;
+  d
+
+let set v i a =
+  check v i;
+  let o = limbs * i in
+  for k = 0 to limbs - 1 do
+    s v (o + k) (g a k)
+  done
+
 let mul r a b =
   let d = Array.make limbs 0 in
   mul_into r d a b;

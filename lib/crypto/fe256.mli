@@ -59,3 +59,20 @@ val inv : ring -> t -> t
 val equal : t -> t -> bool
 val is_zero : t -> bool
 val copy : t -> t
+
+type vec
+(** A fixed-length vector of elements stored flat: one allocation for a
+    whole table, where an array of elements costs one per entry. *)
+
+val vec : int -> vec
+(** [vec n] holds [n] elements, all zero. *)
+
+val length : vec -> int
+val get_into : t -> vec -> int -> unit
+(** [get_into dst v i] overwrites [dst] with element [i]. *)
+
+val get : vec -> int -> t
+(** A fresh copy of element [i]. *)
+
+val set : vec -> int -> t -> unit
+(** [set v i a] overwrites element [i] with [a]. *)

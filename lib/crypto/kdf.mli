@@ -7,7 +7,12 @@
     - K{_m} (MAC key, "SMK" label) authenticates protocol messages;
     - K{_e} (encryption key, "SK" label) protects msg3's secret blob. *)
 
-type session_keys = { kdk : string; k_m : string; k_e : string }
+type session_keys = {
+  kdk : string;
+  k_m : string;
+  k_e : string;
+  mac_key : Cmac.key;  (** K{_m} prepared once for every message MAC of the session *)
+}
 
 val kdk_of_shared : string -> string
 (** [kdk_of_shared gab_x] takes the 32-byte big-endian shared-secret

@@ -29,10 +29,11 @@ let fe_zero = Fe.zero fp
 let fe_a = Fe.of_bn fp (Bn.sub p (Bn.of_int 3)) (* a = -3 mod p *)
 let fe_b = Fe.of_bn fp b_coeff
 
-(* Affine multiples of a point in Montgomery form, as parallel
-   coordinate arrays; no entry is the point at infinity. Entry d - 1 of
-   a window table is dP; entry 15j + d - 1 of a comb is d * 16^j * P. *)
-type table = { tx : Fe.t array; ty : Fe.t array }
+(* Affine multiples of a point in Montgomery form, as parallel flat
+   coordinate vectors (two allocations per table, however many
+   entries); no entry is the point at infinity. Entry d - 1 of a window
+   table is dP; entry 15j + d - 1 of a comb is d * 16^j * P. *)
+type table = { tx : Fe.vec; ty : Fe.vec }
 
 (* Jacobian coordinates: (X, Y, Z) represents (X/Z^2, Y/Z^3); Z = 0 is
    the point at infinity. [memo] caches the [1..15]P window table for
@@ -88,6 +89,8 @@ type acc = {
   jx : Fe.t;
   jy : Fe.t;
   jz : Fe.t;
+  ex : Fe.t; (* ex, ey: the table entry being added *)
+  ey : Fe.t;
   t0 : Fe.t;
   t1 : Fe.t;
   t2 : Fe.t;
@@ -104,7 +107,8 @@ let sub_ d a b = Fe.sub_into fp d a b
 let acc_create () =
   let f () = Fe.zero fp in
   let jx = Fe.one fp and jy = Fe.one fp in
-  { jx; jy; jz = f (); t0 = f (); t1 = f (); t2 = f (); t3 = f (); t4 = f (); t5 = f () }
+  { jx; jy; jz = f (); ex = f (); ey = f (); t0 = f (); t1 = f (); t2 = f (); t3 = f (); t4 = f ();
+    t5 = f () }
 
 let acc_is_infinity a = Fe.is_zero a.jz
 
@@ -252,22 +256,29 @@ let add p1 p2 =
    a run of Jacobian coordinates in place (no z may be zero). xs and ys
    become the affine coordinates; zs is left as scratch. *)
 let batch_to_affine xs ys zs =
-  let k = Array.length zs in
-  let prefix = Array.make k fe_zero in
-  let acc = Fe.one fp in
+  let k = Fe.length zs in
+  let prefix = Fe.vec k in
+  let acc = Fe.one fp and t = Fe.zero fp in
   for i = 0 to k - 1 do
-    prefix.(i) <- Fe.copy acc;
-    mul_ acc acc zs.(i)
+    Fe.set prefix i acc;
+    Fe.get_into t zs i;
+    mul_ acc acc t
   done;
   let inv = Fe.inv fp acc in
   let zinv = acc and zinv2 = Fe.zero fp in
   for i = k - 1 downto 0 do
-    mul_ zinv inv prefix.(i);
-    mul_ inv inv zs.(i);
+    Fe.get_into t prefix i;
+    mul_ zinv inv t;
+    Fe.get_into t zs i;
+    mul_ inv inv t;
     sqr_ zinv2 zinv;
-    mul_ xs.(i) xs.(i) zinv2;
+    Fe.get_into t xs i;
+    mul_ t t zinv2;
+    Fe.set xs i t;
     mul_ zinv2 zinv2 zinv;
-    mul_ ys.(i) ys.(i) zinv2
+    Fe.get_into t ys i;
+    mul_ t t zinv2;
+    Fe.set ys i t
   done
 
 (* The multiples d * 16^j * pt for d = 1..15 and j < rows, stepped
@@ -276,15 +287,22 @@ let batch_to_affine xs ys zs =
    entry is infinity. *)
 let multiples a pt rows =
   let k = 15 * rows in
-  let tx = Array.make k fe_zero and ty = Array.make k fe_zero and zs = Array.make k fe_zero in
+  let tx = Fe.vec k and ty = Fe.vec k and zs = Fe.vec k in
   acc_load a pt.x pt.y pt.z;
-  let step = ref pt in
+  (* The row's step, 16^j * pt. A private point, never memoized or
+     returned, so overwriting its coordinates in place is safe. *)
+  let step = jac (Fe.copy pt.x) (Fe.copy pt.y) (Fe.copy pt.z) in
   for e = 0 to k - 1 do
-    if e > 0 then acc_add a !step;
-    if e > 0 && e mod 15 = 0 then step := to_point a (* next row: 16 * step *);
-    tx.(e) <- Fe.copy a.jx;
-    ty.(e) <- Fe.copy a.jy;
-    zs.(e) <- Fe.copy a.jz
+    if e > 0 then acc_add a step;
+    if e > 0 && e mod 15 = 0 then begin
+      (* next row: 16 * step *)
+      Fe.copy_into step.x a.jx;
+      Fe.copy_into step.y a.jy;
+      Fe.copy_into step.z a.jz
+    end;
+    Fe.set tx e a.jx;
+    Fe.set ty e a.jy;
+    Fe.set zs e a.jz
   done;
   batch_to_affine tx ty zs;
   { tx; ty }
@@ -309,7 +327,10 @@ let nibble s i =
   let b = Char.code (String.unsafe_get s (i lsr 1)) in
   if i land 1 = 0 then b lsr 4 else b land 0xf
 
-let add_entry a tbl e = acc_add_affine a tbl.tx.(e) tbl.ty.(e)
+let add_entry a tbl e =
+  Fe.get_into a.ex tbl.tx e;
+  Fe.get_into a.ey tbl.ty e;
+  acc_add_affine a a.ex a.ey
 
 let double4 a =
   if not (acc_is_infinity a) then begin
@@ -424,7 +445,11 @@ let double_mul_batch entries =
       entries
   in
   let finite = List.filter (fun p -> not (is_infinity p)) (Array.to_list results) in
-  let coords f = Array.of_list (List.map (fun p -> Fe.copy (f p)) finite) in
+  let coords f =
+    let v = Fe.vec (List.length finite) in
+    List.iteri (fun i p -> Fe.set v i (f p)) finite;
+    v
+  in
   let tx = coords (fun p -> p.x) and ty = coords (fun p -> p.y) in
   batch_to_affine tx ty (coords (fun p -> p.z));
   let j = ref 0 in
@@ -434,7 +459,7 @@ let double_mul_batch entries =
       else begin
         let e = !j in
         incr j;
-        Some (Fe.to_bn fp tx.(e), Fe.to_bn fp ty.(e))
+        Some (Fe.to_bn fp (Fe.get tx e), Fe.to_bn fp (Fe.get ty e))
       end)
     results
 

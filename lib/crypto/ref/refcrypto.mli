@@ -3,8 +3,8 @@ open Watz_crypto
 
     Reference implementations kept only for differential testing and for
     the [crypto] bench target's old-vs-new speedup measurements: the
-    optimized {!Sha256}, {!P256}, {!Ecdsa} and {!Gcm} modules must stay
-    bit-identical to these. Nothing in the runtime calls this module. *)
+    optimized {!Sha256}, {!P256}, {!Ecdsa}, {!Aes}, {!Cmac} and {!Gcm}
+    modules must stay bit-identical to these. Nothing in the runtime calls this module. *)
 
 module Sha256 : sig
   type ctx
@@ -43,6 +43,24 @@ module Ecdsa : sig
   val sign_digest : Bn.t -> string -> string
   val verify : P256.point -> msg:string -> signature:string -> bool
   val verify_digest : P256.point -> digest:string -> signature:string -> bool
+end
+
+module Aes : sig
+  type key
+
+  val expand_key : string -> key
+
+  val encrypt_block : key -> string -> string
+  (** Byte-array state, one round function per FIPS 197 step. *)
+end
+
+module Cmac : sig
+  type key
+
+  val prepare : string -> key
+  val mac_with : key -> string -> string
+  val mac : key:string -> string -> string
+  val verify : key:string -> tag:string -> string -> bool
 end
 
 module Gcm : sig

@@ -11,8 +11,13 @@
       corrupted one (same verdict from both stacks);
     - GHASH on random subkeys and part lists (the table-driven path vs
       the shift-and-add reference);
+    - AES block encryption (the T-table word core) against the frozen
+      byte-state AES, for 16-, 24- and 32-byte keys;
+    - AES-CMAC, one-shot and prepared, on lengths 0–80 so every
+      complete/partial last-block branch is hit;
     - AES-GCM encrypt bit-identity, decrypt roundtrip, and
-      tag-corruption rejection.
+      tag-corruption rejection, on short messages and on multi-KB ones
+      with every tail length and IVs of any length.
 
     [round rng] is [Ok ()] or [Error description]; the description is a
     finding. *)
@@ -24,6 +29,13 @@ module Bn = Watz_crypto.Bn
 
 let hex s =
   String.concat "" (List.map (Printf.sprintf "%02x") (List.map Char.code (List.init (String.length s) (String.get s))))
+
+(* The first offset where two strings differ (the shorter length if one
+   is a prefix of the other). *)
+let first_diff a b =
+  let n = min (String.length a) (String.length b) in
+  let rec go i = if i < n && a.[i] = b.[i] then go (i + 1) else i in
+  go 0
 
 (* Lengths that exercise the SHA-256 padding state machine. *)
 let boundary_lengths = [| 0; 1; 3; 31; 32; 33; 54; 55; 56; 57; 63; 64; 65; 119; 120; 121; 127; 128; 129; 200; 1000 |]
@@ -111,17 +123,45 @@ let check_ghash rng =
       (Printf.sprintf "ghash mismatch (h=%s, %d parts): fast=%s ref=%s" (hex h)
          (List.length parts) (hex fast) (hex ref_))
 
+let check_aes rng =
+  let key = Prng.bytes rng (8 * (2 + Prng.int rng 3)) in
+  let block = Prng.bytes rng 16 in
+  let fast = C.Aes.encrypt_block (C.Aes.expand_key key) block in
+  let ref_ = R.Aes.encrypt_block (R.Aes.expand_key key) block in
+  if String.equal fast ref_ then Ok ()
+  else
+    Error
+      (Printf.sprintf "aes-%d mismatch (key=%s, block=%s): fast=%s ref=%s"
+         (8 * String.length key) (hex key) (hex block) (hex fast) (hex ref_))
+
+let check_cmac rng =
+  let key = Prng.bytes rng 16 in
+  let msg = Prng.bytes rng (Prng.int rng 81) in
+  let fast = C.Cmac.mac ~key msg in
+  let prepared = C.Cmac.mac_with (C.Cmac.prepare key) msg in
+  let ref_ = R.Cmac.mac ~key msg in
+  if String.equal fast ref_ && String.equal prepared ref_ then Ok ()
+  else
+    Error
+      (Printf.sprintf "cmac mismatch on %d bytes (key=%s): fast=%s prepared=%s ref=%s"
+         (String.length msg) (hex key) (hex fast) (hex prepared) (hex ref_))
+
 let check_gcm rng =
   let key = Prng.bytes rng 16 in
   let iv = Prng.bytes rng (if Prng.bool rng then 12 else 1 + Prng.int rng 32) in
   let aad = if Prng.bool rng then Some (Prng.bytes rng (Prng.int rng 40)) else None in
-  let pt = Prng.bytes rng (Prng.int rng 200) in
+  (* One in four rounds runs 1-4 KB of full blocks plus a 0-15 byte tail. *)
+  let len =
+    if Prng.int rng 4 = 0 then (16 * (64 + Prng.int rng 193)) + Prng.int rng 16
+    else Prng.int rng 200
+  in
+  let pt = Prng.bytes rng len in
   let ct_f, tag_f = C.Gcm.encrypt ~key ~iv ?aad pt in
   let ct_r, tag_r = R.Gcm.encrypt ~key ~iv ?aad pt in
   if not (String.equal ct_f ct_r && String.equal tag_f tag_r) then
     Error
-      (Printf.sprintf "gcm encrypt mismatch (iv %d bytes): ct %s/%s tag %s/%s"
-         (String.length iv) (hex ct_f) (hex ct_r) (hex tag_f) (hex tag_r))
+      (Printf.sprintf "gcm encrypt mismatch (iv %d bytes, %d-byte plaintext): ct first differs at byte %d, tag %s/%s"
+         (String.length iv) len (first_diff ct_f ct_r) (hex tag_f) (hex tag_r))
   else
     match C.Gcm.decrypt ~key ~iv ?aad ~tag:tag_f ct_f with
     | None -> Error "gcm decrypt rejected its own ciphertext"
@@ -140,8 +180,10 @@ let check_gcm rng =
 (** One differential round drawing which primitive to hit from the
     same stream as its inputs. *)
 let round rng =
-  match Prng.int rng 6 with
+  match Prng.int rng 8 with
   | 0 | 1 -> check_sha256 rng
   | 2 -> check_ecdsa rng
-  | 3 | 4 -> check_ghash rng
-  | _ -> check_gcm rng
+  | 3 -> check_ghash rng
+  | 4 | 5 -> check_gcm rng
+  | 6 -> check_aes rng
+  | _ -> check_cmac rng

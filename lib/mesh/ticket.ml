@@ -43,8 +43,8 @@ type master = {
   key_id : string; (* 4 bytes; names this verifier instance *)
   base : string; (* instance secret every epoch key derives from *)
   mutable epoch : int;
-  mutable enc_key : string; (* 16 bytes, current epoch *)
-  mutable mac_key : string; (* 32 bytes, current epoch *)
+  mutable enc_key : C.Gcm.key; (* current epoch, prepared *)
+  mutable mac_key : C.Hmac.key; (* current epoch, prepared *)
   mutable minted : int;
   mutable rotations : int;
 }
@@ -54,10 +54,12 @@ let epoch_bytes epoch =
   W.u32 w (Int32.of_int epoch);
   W.contents w
 
+(* The epoch's keys, prepared once here rather than re-expanded on
+   every mint and redeem. *)
 let derive_epoch_keys base epoch =
   let e = epoch_bytes epoch in
-  ( String.sub (C.Hmac.sha256 ~key:base ("WZ-MESH-TK-ENC" ^ e)) 0 16,
-    C.Hmac.sha256 ~key:base ("WZ-MESH-TK-MAC" ^ e) )
+  ( C.Gcm.prepare (String.sub (C.Hmac.sha256 ~key:base ("WZ-MESH-TK-ENC" ^ e)) 0 16),
+    C.Hmac.prepare (C.Hmac.sha256 ~key:base ("WZ-MESH-TK-MAC" ^ e)) )
 
 (** [make ~seed] derives a fresh ticket master. The same seed always
     yields the same master (so federated verifier shards sharing a
@@ -124,10 +126,10 @@ let mint m ~random ~now_ns ~ttl_ns ~attester_id ~claim ~boot ~rms =
   in
   let iv = random iv_len in
   let aad = m.key_id ^ epoch_bytes m.epoch in
-  let ct, tag = C.Gcm.encrypt ~key:m.enc_key ~iv ~aad (encode_body body) in
+  let ct, tag = C.Gcm.encrypt_with m.enc_key ~iv ~aad (encode_body body) in
   let sealed = aad ^ iv ^ ct ^ tag in
   m.minted <- m.minted + 1;
-  sealed ^ C.Hmac.sha256 ~key:m.mac_key sealed
+  sealed ^ C.Hmac.mac m.mac_key sealed
 
 type reject = Malformed | Unknown_key | Rotated | Forged | Expired
 
@@ -150,13 +152,13 @@ let redeem m ~now_ns wire : (body, reject) result =
   else begin
     let sealed = String.sub wire 0 (wire_len - hmac_len) in
     let mac = String.sub wire (wire_len - hmac_len) hmac_len in
-    if not (String.equal mac (C.Hmac.sha256 ~key:m.mac_key sealed)) then Error Forged
+    if not (String.equal mac (C.Hmac.mac m.mac_key sealed)) then Error Forged
     else begin
       let aad = String.sub wire 0 (key_id_len + 4) in
       let iv = String.sub wire (key_id_len + 4) iv_len in
       let ct = String.sub wire (key_id_len + 4 + iv_len) body_len in
       let tag = String.sub wire (key_id_len + 4 + iv_len + body_len) gcm_tag_len in
-      match C.Gcm.decrypt ~key:m.enc_key ~iv ~aad ~tag ct with
+      match C.Gcm.decrypt_with m.enc_key ~iv ~aad ~tag ct with
       | None -> Error Forged
       | Some plain ->
         let body = decode_body plain in

@@ -812,14 +812,92 @@ let qcheck_ghash_matches_ref =
       String.equal (Gcm.ghash_bytes ~h parts) (Refcrypto.Gcm.ghash_bytes ~h parts))
 
 let qcheck_gcm_matches_ref =
-  QCheck.Test.make ~name:"gcm: encrypt = pre-PR encrypt" ~count:50
+  QCheck.Test.make ~name:"gcm: encrypt = pre-PR encrypt" ~count:60
     QCheck.(
-      triple (string_of_size (Gen.return 16)) (string_of_size (Gen.return 12))
-        (string_of_size (Gen.int_range 0 200)))
+      triple (string_of_size (Gen.return 16))
+        (string_of_size (Gen.oneof [ Gen.return 12; Gen.int_range 1 40 ]))
+        (string_of_size (Gen.int_range 0 700)))
     (fun (key, iv, pt) ->
       let ct, tag = Gcm.encrypt ~key ~iv ~aad:"hdr" pt in
       let ct', tag' = Refcrypto.Gcm.encrypt ~key ~iv ~aad:"hdr" pt in
       String.equal ct ct' && String.equal tag tag')
+
+let qcheck_aes_matches_ref =
+  QCheck.Test.make ~name:"aes: T-table core = pre-PR byte-state AES, all key sizes" ~count:300
+    QCheck.(pair (oneofl [ 16; 24; 32 ]) (pair (string_of_size (Gen.return 32)) (string_of_size (Gen.return 16))))
+    (fun (klen, (key, block)) ->
+      let key = String.sub key 0 klen in
+      String.equal
+        (Aes.encrypt_block (Aes.expand_key key) block)
+        (Refcrypto.Aes.encrypt_block (Refcrypto.Aes.expand_key key) block))
+
+let cmac_matches_ref () =
+  (* Every length 0-80: empty, partial and complete last blocks, one to
+     six blocks. *)
+  List.iter
+    (fun key ->
+      let prepared = Cmac.prepare key in
+      for len = 0 to 80 do
+        let msg = String.init len (fun i -> Char.chr (((i * 37) + len) land 0xff)) in
+        let expected = hex_of (Refcrypto.Cmac.mac ~key msg) in
+        Alcotest.(check string) (Printf.sprintf "cmac %d bytes" len) expected (hex_of (Cmac.mac ~key msg));
+        Alcotest.(check string)
+          (Printf.sprintf "prepared cmac %d bytes" len)
+          expected
+          (hex_of (Cmac.mac_with prepared msg))
+      done)
+    [ pattern 16; Sha256.digest "cmac key" |> fun d -> String.sub d 0 16 ]
+
+let qcheck_gcm_64k_matches_ref =
+  QCheck.Test.make ~name:"gcm: 64 KB encrypt = pre-PR encrypt, ct and tag" ~count:3
+    QCheck.(pair (string_of_size (Gen.return 16)) (string_of_size (Gen.return 65536)))
+    (fun (key, pt) ->
+      let iv = String.sub key 0 12 in
+      let ct, tag = Gcm.encrypt ~key ~iv pt in
+      let ct', tag' = Refcrypto.Gcm.encrypt ~key ~iv pt in
+      String.equal ct ct' && String.equal tag tag')
+
+let symmetric_allocation_gates () =
+  let words n f =
+    let w0 = Gc.minor_words () in
+    for _ = 1 to n do
+      f ()
+    done;
+    (Gc.minor_words () -. w0) /. float_of_int n
+  in
+  let aes = Aes.expand_key (pattern 16) in
+  let dst = Array.make 4 0 in
+  Alcotest.(check (float 0.0)) "Aes.encrypt_words allocates nothing" 0.0
+    (words 1000 (fun () -> Aes.encrypt_words aes 1 2 3 4 dst));
+  (* A per-block string or keystream would cost thousands of words over
+     4096 blocks; the fused pass pays a few small arrays per message. *)
+  let gcm = Gcm.prepare (pattern 16) and iv = pattern 12 and blob = pattern 65536 in
+  let per_64k = words 4 (fun () -> ignore (Gcm.encrypt_with gcm ~iv blob)) in
+  if per_64k > 400.0 then Alcotest.failf "Gcm.encrypt_with 64 KB: %.0f minor words > 400" per_64k;
+  let ct, tag = Gcm.encrypt_with gcm ~iv blob in
+  let per_64k = words 4 (fun () -> ignore (Gcm.decrypt_with gcm ~iv ~tag ct)) in
+  if per_64k > 400.0 then Alcotest.failf "Gcm.decrypt_with 64 KB: %.0f minor words > 400" per_64k;
+  let cmac = Cmac.prepare (pattern 16) and msg = pattern 64 in
+  let per_mac = words 100 (fun () -> ignore (Cmac.mac_with cmac msg)) in
+  if per_mac > 20.0 then Alcotest.failf "Cmac.mac_with 64 B: %.0f minor words > 20" per_mac
+
+let gcm_prepared_equivalence () =
+  let key = pattern 16 and aad = "hdr" in
+  let k = Gcm.prepare key in
+  List.iter
+    (fun (iv, len) ->
+      let pt = pattern len in
+      let ct, tag = Gcm.encrypt ~key ~iv ~aad pt in
+      Alcotest.(check (pair string string))
+        (Printf.sprintf "encrypt_with, iv %d, %d bytes" (String.length iv) len)
+        (hex_of ct, hex_of tag)
+        (let ct', tag' = Gcm.encrypt_with k ~iv ~aad pt in
+         (hex_of ct', hex_of tag'));
+      Alcotest.(check (option string))
+        (Printf.sprintf "decrypt_with, iv %d, %d bytes" (String.length iv) len)
+        (Some (hex_of pt))
+        (Option.map hex_of (Gcm.decrypt_with k ~iv ~aad ~tag ct)))
+    [ (pattern 12, 0); (pattern 12, 33); (pattern 7, 16); (pattern 60, 1000) ]
 
 let mac_prepared_equivalence () =
   (* Prepared-key paths (reused SHA contexts / expanded AES subkeys)
@@ -941,6 +1019,11 @@ let suite =
         q qcheck_ghash_matches_ref;
         q qcheck_gcm_matches_ref;
         case "mac prepared = one-shot" mac_prepared_equivalence;
+        q qcheck_aes_matches_ref;
+        case "cmac = pre-PR cmac, lengths 0-80" cmac_matches_ref;
+        q qcheck_gcm_64k_matches_ref;
+        case "gcm prepared = one-shot" gcm_prepared_equivalence;
+        case "symmetric allocation gates" symmetric_allocation_gates;
         case "p256 cached encoding stable" p256_encode_cached_stable;
       ] );
   ]
